@@ -728,13 +728,32 @@ def iqb_experiment(
     """
     config = resolve_iqb_config(config)
     users = list(users)
+    return _iqb_experiment(
+        users,
+        UserColumns.from_records(users),
+        config,
+        metric=metric,
+        include_bt=include_bt,
+    )
+
+
+def _iqb_experiment(
+    users: list[UserRecord],
+    columns: UserColumns,
+    config: IqbConfig,
+    *,
+    metric: str = "mean",
+    include_bt: bool = False,
+) -> IqbExperimentResult:
+    """:func:`iqb_experiment` over the same households as records and as
+    columns (row ``i`` is ``users[i]``), so callers that already hold
+    the columns do not convert the records again."""
     if len(users) < _MIN_EXPERIMENT_USERS:
         raise AnalysisError(
             f"the IQB experiment needs at least {_MIN_EXPERIMENT_USERS} "
             f"households, got {len(users)}"
         )
     with obs.span(f"iqb/experiment/{config.name}"):
-        columns = UserColumns.from_records(users)
         composite = score_columns(columns, config).composite
         classes = capacity_class_spec().index_of_array(
             columns.capacity_down_mbps
@@ -859,7 +878,7 @@ def format_iqb_report(
         if dasu_records is None:
             dasu_records = list(dasu_columns.iter_records())
         try:
-            experiment = iqb_experiment(dasu_records, config)
+            experiment = _iqb_experiment(dasu_records, dasu_columns, config)
         except AnalysisError as exc:
             lines.append(f"  IQB-vs-demand experiment skipped: {exc}")
         else:
@@ -932,7 +951,7 @@ def iqb_payload(
     if dasu_records is None:
         dasu_records = list(dasu_columns.iter_records())
     try:
-        experiment = iqb_experiment(dasu_records, config)
+        experiment = _iqb_experiment(dasu_records, dasu_columns, config)
     except AnalysisError as exc:
         payload["experiment"] = {"skipped": str(exc)}
     else:

@@ -9,6 +9,7 @@ latency bins, and packet-loss bins.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import math
 import numbers
@@ -89,6 +90,10 @@ LOSS_BINS_FRACTION: tuple[tuple[float, float], ...] = (
 )
 
 
+#: Types a bin can place on the line (see :meth:`Bin.__contains__`).
+_REAL_TYPES = (numbers.Real, decimal.Decimal)
+
+
 @dataclass(frozen=True)
 class Bin:
     """A half-open interval ``(low, high]``.
@@ -109,7 +114,7 @@ class Bin:
         # numpy scalars (numbers.Real), and Decimal (a Real in behavior
         # but deliberately unregistered with the ABC). NaN compares
         # False on both sides and so is never a member.
-        if not isinstance(value, (numbers.Real, decimal.Decimal)):
+        if not isinstance(value, _REAL_TYPES):
             return False
         return self.low < value <= self.high
 
@@ -141,9 +146,13 @@ class BinSpec:
                     f"bins overlap: {left.label()} and {right.label()}"
                 )
         self._bins = tuple(ordered)
+        # Edge lists for the scalar lookup, kept as given (not coerced to
+        # float) so comparisons match Bin.__contains__ exactly.
+        self._low_edges = [b.low for b in ordered]
+        self._high_edges = [b.high for b in ordered]
         # Precomputed edge arrays for the vectorized lookup.
-        self._lows = np.array([b.low for b in ordered], dtype=float)
-        self._highs = np.array([b.high for b in ordered], dtype=float)
+        self._lows = np.array(self._low_edges, dtype=float)
+        self._highs = np.array(self._high_edges, dtype=float)
 
     @property
     def bins(self) -> tuple[Bin, ...]:
@@ -159,10 +168,20 @@ class BinSpec:
         return self._bins[index]
 
     def index_of(self, value: float) -> int | None:
-        """Index of the bin containing ``value``, or ``None``."""
-        for i, b in enumerate(self._bins):
-            if value in b:
-                return i
+        """Index of the bin containing ``value``, or ``None``.
+
+        Equal to the first ``i`` with ``value in self[i]``: ``bisect_left``
+        finds the last bin whose (exclusive) lower edge lies below
+        ``value`` — no other bin can contain it, since the bins are
+        sorted and non-overlapping — and one upper-edge comparison
+        decides membership. NaN compares False everywhere and lands
+        before the first bin.
+        """
+        if not isinstance(value, _REAL_TYPES):
+            return None
+        i = bisect.bisect_left(self._low_edges, value) - 1
+        if i >= 0 and value <= self._high_edges[i]:
+            return i
         return None
 
     def index_of_array(self, values: np.ndarray) -> np.ndarray:

@@ -10,13 +10,24 @@ scale-free distance (the sum of absolute log-ratios over the confounders)
 and accepted in order, skipping candidates whose endpoints were already
 matched. Global greediness avoids the order-dependence of per-unit greedy
 matching and makes results reproducible.
+
+Candidates are enumerated by a sorted band join rather than a dense
+cross product. The treatment pool is sorted on its most selective
+confounder (the column whose caliper bands hold the fewest pairs), each
+control's band on that column is found by binary search, and only the
+gathered band pairs face the exact per-pair caliper test. This costs
+O((n_c + n_t) log n_t + band pairs * k) instead of O(n_c * n_t * k). It
+cannot change which pairs match: the band is a superset of the caliper
+window by construction, the exact test and distance sum are the dense
+enumeration's own expressions, and the final ``lexsort`` is a total
+order on pairs, so the order in which they were gathered is irrelevant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,7 +41,6 @@ __all__ = [
     "MatchingSummary",
     "ZERO_FLOOR",
     "caliper_compatible",
-    "candidate_chunk_rows",
     "match_pairs",
     "match_pairs_arrays",
 ]
@@ -60,24 +70,8 @@ assert LOSS_MATCH_FLOOR >= ZERO_FLOOR, (
 )
 
 #: Memory budget for one candidate-enumeration block, in float64 cells of
-#: the (chunk, treatment, confounder) difference array (~32 MB).
+#: the gathered (candidate pair, confounder) difference array (~32 MB).
 CANDIDATE_CELL_BUDGET = 4_000_000
-
-
-def candidate_chunk_rows(
-    n_treatment: int,
-    n_confounders: int,
-    cell_budget: int = CANDIDATE_CELL_BUDGET,
-) -> int:
-    """Control rows per candidate-enumeration block.
-
-    The block materializes a ``(chunk, n_treatment, n_confounders)``
-    difference array, so the budget must be divided by *both* trailing
-    dimensions — dividing by the treatment count alone would let peak
-    memory grow ``n_confounders``-fold past the bound.
-    """
-    cells_per_row = max(1, n_treatment) * max(1, n_confounders)
-    return max(1, cell_budget // cells_per_row)
 
 
 def caliper_compatible(a: float, b: float, caliper: float = DEFAULT_CALIPER) -> bool:
@@ -315,6 +309,60 @@ def match_pairs_arrays(
     )
 
 
+def _band_windows(
+    log_c: np.ndarray, log_t: np.ndarray, bound: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate windows on the most selective confounder column.
+
+    Returns ``(by_key, lo, counts)``: ``by_key`` sorts the treatment pool
+    on the chosen column, and control ``i``'s candidates are the
+    treatment units ``by_key[lo[i] : lo[i] + counts[i]]``. The column is
+    the one whose windows hold the fewest pairs in total.
+
+    Every pair that passes the exact test ``fl(|c - t|) <= bound`` lies
+    in its control's window, because rounding is monotone. A passing
+    pair has ``|c - t| <= reach = nextafter(bound, inf)`` in exact
+    arithmetic (a larger difference would round to at least ``reach``),
+    and a float ``t`` inside the exact interval ``[c - reach, c + reach]``
+    is also inside its rounded edges. The one-ulp widening of the bound
+    is needed: ``|c - t|`` can be coarser-spaced than ``t``, so values
+    several ulps of ``t`` beyond ``c - bound`` still round onto
+    ``bound``.
+    """
+    reach = np.nextafter(bound, np.inf)
+    best = None
+    for j in range(log_c.shape[1]):
+        by_key = np.argsort(log_t[:, j], kind="stable")
+        keys = log_t[by_key, j]
+        lo = np.searchsorted(keys, log_c[:, j] - reach, side="left")
+        hi = np.searchsorted(keys, log_c[:, j] + reach, side="right")
+        # A negative caliper gives inverted windows: no candidates.
+        counts = np.maximum(hi - lo, 0)
+        n_band = int(counts.sum())
+        if best is None or n_band < best[0]:
+            best = (n_band, by_key, lo, counts)
+    return best[1:]
+
+
+def _candidate_blocks(
+    counts: np.ndarray, n_confounders: int, cell_budget: int
+) -> Iterator[tuple[int, int]]:
+    """Consecutive control-row ranges ``(start, stop)`` whose gathered
+    windows fill at most ``cell_budget`` difference cells.
+
+    A block always holds at least one row, so a single row whose window
+    alone exceeds the budget forms a block of its own.
+    """
+    ends = np.cumsum(counts, dtype=np.int64) * n_confounders
+    start = 0
+    while start < counts.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, base + cell_budget, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
 def _greedy_index_pairs(
     log_c: np.ndarray,
     log_t: np.ndarray,
@@ -330,25 +378,34 @@ def _greedy_index_pairs(
     the object and columnar paths guarantee identical pairs.
     """
     limit = math.log(1.0 + caliper)
+    bound = limit + 1e-12
     n_control, n_confounders = log_c.shape
     n_treatment = log_t.shape[0]
 
-    # Enumerate caliper-compatible candidate pairs in chunks of control rows
-    # so peak memory stays bounded for large pools.
-    chunk = candidate_chunk_rows(n_treatment, n_confounders)
+    # Gather each control's band window in blocks of control rows so peak
+    # memory stays bounded, then apply the exact per-pair caliper test.
+    by_key, lo, counts = _band_windows(log_c, log_t, bound)
     ci_parts: list[np.ndarray] = []
     ti_parts: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
-    for start in range(0, n_control, chunk):
-        block = log_c[start : start + chunk]
-        # |log a - log b| per (control, treatment, confounder).
-        diff = np.abs(block[:, None, :] - log_t[None, :, :])
-        compatible = np.all(diff <= limit + 1e-12, axis=2)
-        rows, cols = np.nonzero(compatible)
-        if rows.size:
-            ci_parts.append(rows + start)
-            ti_parts.append(cols)
-            dist_parts.append(diff.sum(axis=2)[rows, cols])
+    blocks = _candidate_blocks(counts, n_confounders, CANDIDATE_CELL_BUDGET)
+    for start, stop in blocks:
+        block_counts = counts[start:stop]
+        rows = np.repeat(np.arange(start, stop), block_counts)
+        # Rank of each gathered slot in the sorted treatment pool: its
+        # row's window start plus the slot's offset inside the window.
+        first_slot = np.cumsum(block_counts) - block_counts
+        ranks = np.arange(rows.size) + np.repeat(
+            lo[start:stop] - first_slot, block_counts
+        )
+        cols = by_key[ranks]
+        # |log a - log b| per (candidate pair, confounder).
+        diff = np.abs(log_c[rows] - log_t[cols])
+        compatible = np.all(diff <= bound, axis=1)
+        if compatible.any():
+            ci_parts.append(rows[compatible])
+            ti_parts.append(cols[compatible])
+            dist_parts.append(diff[compatible].sum(axis=1))
     if not ci_parts:
         return [], 0
     ci = np.concatenate(ci_parts)

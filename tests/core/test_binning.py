@@ -5,6 +5,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import binning
 from repro.exceptions import BinningError
@@ -246,3 +248,123 @@ class TestPaperBinConstants:
     def test_upgrade_tiers_match_fig5(self):
         assert binning.UPGRADE_TIERS_MBPS[0] == (0.25, 1.0)
         assert binning.UPGRADE_TIERS_MBPS[-1] == (64.0, 256.0)
+
+
+def _linear_index_of(spec, value):
+    """The reference lookup: first bin whose membership test accepts."""
+    return next((i for i, b in enumerate(spec) if value in b), None)
+
+
+@st.composite
+def bin_specs(draw):
+    """Sorted, non-overlapping bins over integer edges, with optional
+    gaps between bins and an optional infinite last upper edge."""
+    n_bins = draw(st.integers(1, 6))
+    edges = sorted(
+        draw(
+            st.sets(
+                st.integers(-20, 40), min_size=2 * n_bins, max_size=2 * n_bins
+            )
+        )
+    )
+    bins = []
+    for i in range(n_bins):
+        low, high = edges[2 * i], edges[2 * i + 1]
+        if i and draw(st.booleans()):
+            low = bins[-1][1]  # adjacent to the previous bin, no gap
+        bins.append((low, high))
+    if draw(st.booleans()):
+        bins[-1] = (bins[-1][0], math.inf)
+    scale = draw(st.sampled_from((1, 0.1, 0.25)))
+    return binning.explicit_bins(
+        [(low * scale, high * scale) for low, high in bins]
+    )
+
+
+@st.composite
+def probe_values(draw, spec):
+    """Values to look up: on, next to, between and outside the edges,
+    in every numeric type a bin accepts, plus non-numbers."""
+    edges = [e for b in spec for e in (b.low, b.high) if math.isfinite(e)]
+    base = draw(
+        st.one_of(
+            st.sampled_from(edges),
+            st.sampled_from(edges).map(lambda e: math.nextafter(e, math.inf)),
+            st.sampled_from(edges).map(lambda e: math.nextafter(e, -math.inf)),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-30, 50),
+        )
+    )
+    kind = draw(
+        st.sampled_from(
+            ("float", "int", "float64", "float32", "int64", "decimal", "bool")
+        )
+    )
+    if kind == "int" or kind == "int64":
+        if not float(base).is_integer() or abs(base) > 2**62:
+            return base
+        return int(base) if kind == "int" else np.int64(int(base))
+    if kind == "float64":
+        return np.float64(base)
+    if kind == "float32":
+        return np.float32(base)
+    if kind == "decimal":
+        return Decimal(base) if not math.isnan(base) else Decimal("Infinity")
+    if kind == "bool":
+        return bool(base)
+    return float(base)
+
+
+class TestIndexOfProperty:
+    """The bisect lookup is the linear membership scan, everywhere."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_linear_scan(self, data):
+        spec = data.draw(bin_specs())
+        for _ in range(8):
+            value = data.draw(probe_values(spec))
+            assert spec.index_of(value) == _linear_index_of(spec, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_vectorized_lookup_on_floats(self, data):
+        spec = data.draw(bin_specs())
+        values = [float(data.draw(probe_values(spec))) for _ in range(8)]
+        vectorized = spec.index_of_array(np.array(values))
+        assert [
+            -1 if spec.index_of(v) is None else spec.index_of(v)
+            for v in values
+        ] == vectorized.tolist()
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float64("nan"),
+         Decimal("Infinity"), Decimal("-Infinity"), None, "1.5", b"1",
+         complex(1.5, 0.0), [1.5]],
+    )
+    def test_special_values(self, value):
+        for spec in (
+            binning.explicit_bins(binning.CASE_STUDY_TIERS),
+            binning.explicit_bins([(0.0, 1.0), (2.0, 3.0)]),
+            binning.capacity_class_spec(),
+        ):
+            assert spec.index_of(value) == _linear_index_of(spec, value)
+
+    def test_edges_of_paper_specs(self):
+        for spec in (
+            binning.capacity_class_spec(),
+            binning.explicit_bins(binning.PRICE_OF_ACCESS_BINS_USD),
+            binning.explicit_bins(binning.LOSS_BINS_FRACTION),
+        ):
+            for b in spec:
+                for edge in (b.low, b.high):
+                    for value in (
+                        edge,
+                        math.nextafter(edge, math.inf),
+                        math.nextafter(edge, -math.inf),
+                        Decimal(edge) if math.isfinite(edge) else edge,
+                    ):
+                        assert spec.index_of(value) == _linear_index_of(
+                            spec, value
+                        )

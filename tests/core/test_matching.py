@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import matching
@@ -210,44 +211,90 @@ def _five_confounder_pools(n=40):
     return control, treatment, extractors
 
 
-class TestCandidateChunkRows:
-    def test_block_respects_cell_budget_with_five_confounders(self):
-        # The candidate block materializes chunk * treatment * confounder
-        # float64 cells; the heuristic must bound that product, not just
-        # the first two dimensions.
-        n_treatment, n_confounders = 3_000, 5
-        chunk = matching.candidate_chunk_rows(n_treatment, n_confounders)
-        assert chunk >= 1
-        assert (
-            chunk * n_treatment * n_confounders
-            <= matching.CANDIDATE_CELL_BUDGET
+def _spy_blocks(monkeypatch):
+    """Record the difference cells each enumeration block gathers."""
+    gathered = []
+    real = matching._candidate_blocks
+
+    def spy(counts, n_confounders, cell_budget):
+        for start, stop in real(counts, n_confounders, cell_budget):
+            gathered.append(
+                (stop - start, int(counts[start:stop].sum()) * n_confounders)
+            )
+            yield start, stop
+
+    monkeypatch.setattr(matching, "_candidate_blocks", spy)
+    return gathered
+
+
+class TestCandidateCellBudget:
+    """Peak memory of the band join is bounded by the cell budget: each
+    block gathers at most CANDIDATE_CELL_BUDGET (candidate, confounder)
+    difference cells, and the block size never changes the result."""
+
+    def test_block_respects_cell_budget_five_confounders(self, monkeypatch):
+        # All-identical pools: every window is the whole treatment pool,
+        # so the band is the full 1,000 x 1,000 cross product — 5M cells
+        # with five confounders, more than one block may hold.
+        gathered = _spy_blocks(monkeypatch)
+        n, n_confounders = 1_000, 5
+        cols = [np.full(n, 2.0)] * n_confounders
+        summary = matching.match_pairs_arrays(cols, cols, max_pairs=3)
+        assert summary.n_matched == 3
+        assert sum(cells for _, cells in gathered) == n * n * n_confounders
+        assert len(gathered) > 1
+        assert all(
+            cells <= matching.CANDIDATE_CELL_BUDGET for _, cells in gathered
         )
 
     def test_bound_holds_across_pool_shapes(self):
-        for n_treatment in (1, 100, 10_000, 1_000_000):
+        rng = np.random.default_rng(7)
+        for n_rows in (1, 10, 1_000):
             for n_confounders in (1, 2, 5):
-                chunk = matching.candidate_chunk_rows(n_treatment, n_confounders)
-                if chunk > 1:
-                    assert (
-                        chunk * n_treatment * n_confounders
-                        <= matching.CANDIDATE_CELL_BUDGET
+                for budget in (1, 50, 10_000):
+                    counts = rng.integers(0, 40, size=n_rows)
+                    blocks = list(
+                        matching._candidate_blocks(
+                            counts, n_confounders, budget
+                        )
                     )
+                    # Blocks tile the control rows in order ...
+                    assert [start for start, _ in blocks] == [0] + [
+                        stop for _, stop in blocks[:-1]
+                    ]
+                    assert blocks[-1][1] == n_rows
+                    # ... and only a lone row may exceed the budget.
+                    for start, stop in blocks:
+                        cells = int(counts[start:stop].sum()) * n_confounders
+                        assert cells <= budget or stop - start == 1
 
     def test_scales_inversely_with_confounder_count(self):
-        assert matching.candidate_chunk_rows(1_000, 5) == (
-            matching.CANDIDATE_CELL_BUDGET // (1_000 * 5)
-        )
+        # The budget counts confounder cells, not just candidate pairs.
+        counts = np.full(1_000, 10)
+        one = list(matching._candidate_blocks(counts, 1, 1_000))
+        five = list(matching._candidate_blocks(counts, 5, 1_000))
+        assert {stop - start for start, stop in one} == {100}
+        assert {stop - start for start, stop in five} == {20}
 
-    def test_floor_of_one_row(self):
-        assert matching.candidate_chunk_rows(10**9, 5) == 1
+    def test_floor_of_one_row(self, monkeypatch):
+        # A budget below one row's window still makes progress, one
+        # control row per block, and finds the same pairs.
+        control, treatment, extractors = _five_confounder_pools()
+        baseline = matching.match_pairs(control, treatment, extractors)
+        monkeypatch.setattr(matching, "CANDIDATE_CELL_BUDGET", 1)
+        gathered = _spy_blocks(monkeypatch)
+        tiny = matching.match_pairs(control, treatment, extractors)
+        assert {rows for rows, _ in gathered} == {1}
+        assert len(gathered) == len(control)
+        assert tiny.pairs == baseline.pairs
 
     def test_chunked_five_confounder_matching_equivalent(self, monkeypatch):
         control, treatment, extractors = _five_confounder_pools()
         baseline = matching.match_pairs(control, treatment, extractors)
-        monkeypatch.setattr(
-            matching, "candidate_chunk_rows", lambda *args, **kwargs: 3
-        )
+        monkeypatch.setattr(matching, "CANDIDATE_CELL_BUDGET", 40)
+        gathered = _spy_blocks(monkeypatch)
         chunked = matching.match_pairs(control, treatment, extractors)
+        assert len(gathered) > 1
         assert [
             (p.control, p.treatment, p.distance) for p in chunked.pairs
         ] == [(p.control, p.treatment, p.distance) for p in baseline.pairs]

@@ -1,0 +1,170 @@
+"""The band-join matching core against the dense reference.
+
+The library enumerates candidate pairs with a sorted band join on one
+confounder; :mod:`tests.core.dense_matching` keeps the original dense
+cross-product enumeration. Both must return the same accepted
+``(control, treatment, distance)`` triples — distances bit for bit —
+and the same caliper-compatible candidate count on every input.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import matching
+
+from .dense_matching import dense_greedy_index_pairs
+
+LIMIT = math.log(1.0 + matching.DEFAULT_CALIPER)
+BOUND = LIMIT + 1e-12
+
+#: Raw confounder values: zeros and values floored at ZERO_FLOOR, the
+#: loss floor, and ratios at and one ulp around the 25% caliper.
+RAW_VALUES = (
+    0.0,
+    matching.ZERO_FLOOR / 10.0,
+    matching.ZERO_FLOOR,
+    matching.ZERO_FLOOR * 1.25,
+    matching.LOSS_MATCH_FLOOR,
+    1.0,
+    1.25,
+    math.nextafter(1.25, 0.0),
+    math.nextafter(1.25, 2.0),
+    0.8,
+    50.0,
+    62.5,
+)
+
+#: Log-space offsets at the caliper edge: the limit itself, the test's
+#: bound (limit + 1e-12), and a few ulps on either side of each.
+EDGE_OFFSETS = tuple(
+    sign * edge
+    for sign in (1.0, -1.0)
+    for base in (LIMIT, BOUND)
+    for edge in (
+        base,
+        math.nextafter(base, 0.0),
+        math.nextafter(base, 1.0),
+        math.nextafter(math.nextafter(base, 1.0), 1.0),
+    )
+)
+
+raw_cell = st.one_of(
+    st.sampled_from(RAW_VALUES),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+@st.composite
+def log_pools(draw):
+    """Log-space control and treatment matrices with ties, floors and
+    caliper-edge differences."""
+    k = draw(st.integers(1, 5))
+    n_c = draw(st.integers(0, 12))
+    n_t = draw(st.integers(0, 12))
+    raw_c = draw(
+        st.lists(st.lists(raw_cell, min_size=k, max_size=k),
+                 min_size=n_c, max_size=n_c)
+    )
+    log_c = np.array(
+        [np.log(np.maximum(row, matching.ZERO_FLOOR)) for row in raw_c],
+        dtype=float,
+    ).reshape(n_c, k)
+    rows = []
+    for _ in range(n_t):
+        row = []
+        for j in range(k):
+            if n_c and draw(st.booleans()):
+                # A control's value shifted to the caliper edge.
+                anchor = log_c[draw(st.integers(0, n_c - 1)), j]
+                row.append(anchor + draw(st.sampled_from(EDGE_OFFSETS)))
+            else:
+                row.append(
+                    math.log(max(draw(raw_cell), matching.ZERO_FLOOR))
+                )
+        rows.append(row)
+    log_t = np.array(rows, dtype=float).reshape(n_t, k)
+    return log_c, log_t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pools=log_pools(),
+    caliper=st.sampled_from((0.25, 0.25, 0.1, 0.6)),
+    max_pairs=st.one_of(st.none(), st.integers(0, 6)),
+    cell_budget=st.sampled_from(
+        (matching.CANDIDATE_CELL_BUDGET, 1, 2, 7, 64)
+    ),
+)
+def test_band_join_matches_dense_reference(
+    pools, caliper, max_pairs, cell_budget
+):
+    log_c, log_t = pools
+    with mock.patch.object(matching, "CANDIDATE_CELL_BUDGET", cell_budget):
+        band = matching._greedy_index_pairs(log_c, log_t, caliper, max_pairs)
+    dense = dense_greedy_index_pairs(log_c, log_t, caliper, max_pairs)
+    assert band == dense
+    # Bit-identical distances, not merely equal ones.
+    assert [d.hex() for _, _, d in band[0]] == [
+        d.hex() for _, _, d in dense[0]
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    value=st.floats(min_value=-15.0, max_value=15.0),
+    n_ulps=st.integers(0, 8),
+)
+def test_window_edge_rounding(value, n_ulps):
+    # A treatment value a few ulps outside value - BOUND can still pass
+    # the exact test, because |c - t| rounds to BOUND at BOUND's coarser
+    # spacing; the band window must still include it.
+    edge = value - BOUND
+    candidates = [edge]
+    for _ in range(n_ulps):
+        candidates.append(math.nextafter(candidates[-1], -math.inf))
+    candidates += [value + BOUND, math.nextafter(value + BOUND, math.inf)]
+    log_c = np.array([[value]])
+    log_t = np.array(candidates)[:, None]
+    assert matching._greedy_index_pairs(
+        log_c, log_t, matching.DEFAULT_CALIPER, None
+    ) == dense_greedy_index_pairs(log_c, log_t, matching.DEFAULT_CALIPER, None)
+
+
+def test_rounding_gap_wider_than_one_ulp():
+    # Why the bound is widened: at c = 0.25, |c - t| has four times
+    # the spacing of t near c - BOUND, so a value three ulps below
+    # c - BOUND still rounds onto the bound and is a candidate.
+    c = 0.25
+    below = [c - BOUND]
+    for _ in range(3):
+        below.append(math.nextafter(below[-1], -math.inf))
+    assert abs(c - below[-1]) <= BOUND
+    log_c = np.array([[c]])
+    log_t = np.array(below)[:, None]
+    _, n_candidates = matching._greedy_index_pairs(
+        log_c, log_t, matching.DEFAULT_CALIPER, None
+    )
+    assert n_candidates == 4
+
+
+def test_empty_and_single_unit_pools():
+    one = np.zeros((1, 2))
+    none = np.zeros((0, 2))
+    for log_c, log_t in ((none, one), (one, none), (none, none), (one, one)):
+        assert matching._greedy_index_pairs(
+            log_c, log_t, matching.DEFAULT_CALIPER, None
+        ) == dense_greedy_index_pairs(
+            log_c, log_t, matching.DEFAULT_CALIPER, None
+        )
+
+
+def test_negative_caliper_matches_nothing():
+    log_c = np.zeros((3, 1))
+    assert matching._greedy_index_pairs(log_c, log_c, -0.5, None) == ([], 0)
+    assert dense_greedy_index_pairs(log_c, log_c, -0.5, None) == ([], 0)
