@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.analysis.paper_report import full_report
-from repro.core.timing import StageTimer
+from repro.obs.ledger import scoped
 
 from conftest import emit
 
@@ -38,25 +38,27 @@ def test_parallel_report_speedup(paper_world):
         paper_world.survey,
     )
 
-    profiler = StageTimer()
-    start = time.perf_counter()
-    serial = full_report(dasu, fcc, survey, jobs=1, profiler=profiler)
-    serial_s = time.perf_counter() - start
+    with scoped() as ledger:
+        start = time.perf_counter()
+        serial = full_report(dasu, fcc, survey, jobs=1)
+        serial_s = time.perf_counter() - start
+    fragments = [s for s in ledger.spans if s.name.startswith("report/")]
 
     start = time.perf_counter()
     parallel = full_report(dasu, fcc, survey, jobs=_N_WORKERS)
     parallel_s = time.perf_counter() - start
 
     speedup = serial_s / parallel_s
-    slowest = max(profiler.timings, key=lambda t: t.wall_s)
+    slowest = max(fragments, key=lambda s: s.wall_s)
     emit(
         f"Parallel report ({len(dasu) + len(fcc)} users, "
-        f"{len(profiler.timings)} fragments)",
+        f"{len(fragments)} fragments)",
         [
             f"serial:            {serial_s:6.2f} s",
             f"{_N_WORKERS} workers:         {parallel_s:6.2f} s",
             f"speedup:           x{speedup:.2f}",
-            f"critical fragment: {slowest.name} ({slowest.wall_s:.2f} s)",
+            f"critical fragment: {slowest.name.removeprefix('report/')} "
+            f"({slowest.wall_s:.2f} s)",
         ],
     )
     assert parallel == serial, "parallel report drifted from serial output"

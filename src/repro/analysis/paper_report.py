@@ -19,23 +19,23 @@ preserved: if any fragment of a section raises
 ``[section skipped: ...]`` citing the first failing fragment in section
 order, exactly as the serial single-pass implementation did.
 
-Each fragment is timed (wall and CPU, inside whichever process ran it);
-pass a :class:`~repro.core.timing.StageTimer` to collect the profile the
-CLI's ``--profile`` flag prints.
+:func:`render_fragment` is the one place a fragment is rendered and
+:func:`assemble_report` the one place the report is assembled: the
+pooled path and the fragment-level DAG both go through them. Each pooled
+fragment runs under a ``report/<key>`` span of the ambient run ledger
+(wall and CPU, inside whichever process ran it); the CLI's ``--profile``
+flag renders those spans with :func:`repro.obs.ledger.format_profile`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.executor import run_sharded
-from ..core.timing import StageTimer, StageTiming, measure_stage
 from ..datasets.records import UserRecord
 from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
 from ..obs import ledger as obs
-from ..obs.ledger import RunLedger, Span
 from . import capacity, characterization, iqb, longitudinal, price, quality, upgrade_cost
 from .price import Table4Result
 from .report import format_curve, format_experiment_row
@@ -333,20 +333,9 @@ _SECTIONS: tuple[tuple[str | None, tuple[str, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class _FragmentOutput:
-    """One fragment's rendered block (or failure) plus its timing."""
-
-    key: str
-    text: str | None
-    error: str | None
-    #: ``None`` when the fragment was rendered outside a timed pass
-    #: (:func:`assemble_report` over DAG-produced fragments).
-    timing: StageTiming | None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
+#: A rendered fragment: ``(text, error)`` as :func:`render_fragment`
+#: returns it.
+_Rendered = tuple[str | None, str | None]
 
 
 # Worker-process context: the datasets are shipped once per worker via the
@@ -361,57 +350,71 @@ def _init_fragment_worker(dasu, fcc, survey) -> None:
     _CTX = (dasu, fcc, survey)
 
 
-def _run_fragment(key: str) -> _FragmentOutput:
+def _run_fragment(key: str) -> _Rendered:
     assert _CTX is not None, "fragment worker used before initialization"
-    dasu, fcc, survey = _CTX
-    build = _FRAGMENTS[key]
-
-    def build_safe() -> tuple[str | None, str | None]:
-        try:
-            return build(dasu, fcc, survey), None
-        except AnalysisError as exc:
-            return None, str(exc)
-
-    (text, error), timing = measure_stage(key, build_safe)
-    # Ledger accounting (no-op outside a traced run). The span carries
-    # the same duration as the profile timing, so ``--profile`` is a
-    # view over the ledger rather than a second clock.
-    ledger = obs.current()
-    if ledger is not None:
-        ledger.add_span(
-            Span(
-                name=f"report/{key}",
-                wall_s=timing.wall_s,
-                cpu_s=timing.cpu_s,
-            )
-        )
+    # Ledger accounting (no-op outside a traced run): the report/<key>
+    # span is what ``--profile`` renders.
+    with obs.span(f"report/{key}"):
+        text, error = render_fragment(key, *_CTX)
     obs.count("report.fragments.run")
     if error is not None:
         obs.count("report.fragments.failed")
     elif not text:
         obs.count("report.fragments.empty")
-    return _FragmentOutput(key=key, text=text, error=error, timing=timing)
+    return text, error
 
 
-def _assemble_section(
-    header: str | None, outputs: Sequence[_FragmentOutput]
-) -> str:
+def _assemble_section(header: str | None, outputs: Sequence[_Rendered]) -> str:
     """Join fragment blocks under the section header.
 
     The first failed fragment (in section order) skips the whole
     section, mirroring the serial implementation where an
     AnalysisError aborted the section at that point.
     """
-    for out in outputs:
-        if out.failed:
-            return f"[section skipped: {out.error}]"
+    for _, error in outputs:
+        if error is not None:
+            return f"[section skipped: {error}]"
     lines = [] if header is None else [header]
-    for out in outputs:
+    for text, _ in outputs:
         # None (dataset absent) and "" (a table with zero rows) both
         # rendered nothing in the serial single-pass implementation.
-        if out.text:
-            lines.append(out.text)
+        if text:
+            lines.append(text)
     return "\n".join(lines)
+
+
+def _fold_sections(fragments: dict[str, _Rendered]) -> list[str]:
+    """One block per paper section, folded from every fragment."""
+    missing = set(_FRAGMENTS) - set(fragments)
+    if missing:
+        raise AnalysisError(
+            f"missing fragments: {', '.join(sorted(missing))}"
+        )
+    return [
+        _assemble_section(header, [fragments[k] for k in section_keys])
+        for header, section_keys in _SECTIONS
+    ]
+
+
+def _render_pooled(dasu, fcc, survey, jobs: int | None) -> dict[str, _Rendered]:
+    """Render every fragment through :func:`run_sharded`.
+
+    The fragment shards' ledger events merge into the ambient ledger
+    (if any) in declaration order, so the merged ledger is the same for
+    any worker count.
+    """
+    if not dasu:
+        raise AnalysisError("a report needs at least the Dasu dataset")
+    keys = fragment_keys()
+    outputs = run_sharded(
+        _run_fragment,
+        keys,
+        jobs=jobs,
+        initializer=_init_fragment_worker,
+        initargs=(dasu, fcc, survey),
+        ledger=obs.current(),
+    )
+    return dict(zip(keys, outputs))
 
 
 def render_fragment(
@@ -419,15 +422,16 @@ def render_fragment(
     dasu: Sequence[UserRecord] = (),
     fcc: Sequence[UserRecord] | None = None,
     survey: PlanSurvey | None = None,
-) -> tuple[str | None, str | None]:
+) -> _Rendered:
     """Render one fragment without timing or ledger accounting.
 
-    Returns ``(text, error)`` — exactly the failure semantics of the
-    in-process path (:class:`~repro.exceptions.AnalysisError` becomes a
-    section-skip message; ``None`` text means the fragment's optional
-    dataset is absent). This is the entry point for DAG fragment stages,
-    whose artifacts must contain no wall-clock state so an unchanged
-    input hashes to an unchanged output.
+    Returns ``(text, error)``: an :class:`~repro.exceptions.AnalysisError`
+    becomes a section-skip message, and ``None`` text means the
+    fragment's optional dataset is absent. This is the only place a
+    fragment is rendered — the pooled path times it from the outside,
+    and DAG fragment stages use it as is, so their artifacts contain no
+    wall-clock state and an unchanged input hashes to an unchanged
+    output.
     """
     build = _FRAGMENTS[key]
     try:
@@ -437,7 +441,7 @@ def render_fragment(
 
 
 def assemble_report(
-    fragments: dict[str, tuple[str | None, str | None]],
+    fragments: dict[str, _Rendered],
     *,
     n_dasu: int,
     n_fcc: int = 0,
@@ -446,23 +450,14 @@ def assemble_report(
     """Assemble the full report text from pre-rendered fragments.
 
     ``fragments`` maps every fragment key to its ``(text, error)`` pair
-    (:func:`render_fragment`'s return). The output is byte-identical to
-    :func:`full_report` over the same datasets — same header, same
-    dividers, same section-skip semantics — which is what lets the
-    fragment-level DAG serve a report indistinguishable from a cold
-    in-process render.
+    (:func:`render_fragment`'s return). Both :func:`full_report` and the
+    fragment-level DAG assemble here, so the header, dividers and
+    section-skip semantics exist once and a DAG-served report is
+    indistinguishable from a cold in-process render.
     """
     if n_dasu == 0:
         raise AnalysisError("a report needs at least the Dasu dataset")
-    outputs = {
-        key: _FragmentOutput(key=key, text=text, error=error, timing=None)
-        for key, (text, error) in fragments.items()
-    }
-    missing = set(_FRAGMENTS) - set(outputs)
-    if missing:
-        raise AnalysisError(
-            f"missing fragments: {', '.join(sorted(missing))}"
-        )
+    sections = _fold_sections(fragments)
     header = (
         "Reproduction report — Bischof, Bustamante & Stanojevic, "
         "IMC 2014\n"
@@ -472,13 +467,9 @@ def assemble_report(
     )
     divider = "=" * 72
     blocks = [header]
-    for section_header, section_keys in _SECTIONS:
+    for section in sections:
         blocks.append(divider)
-        blocks.append(
-            _assemble_section(
-                section_header, [outputs[k] for k in section_keys]
-            )
-        )
+        blocks.append(section)
     return "\n".join(blocks)
 
 
@@ -488,8 +479,6 @@ def section_reports(
     survey: PlanSurvey | None = None,
     *,
     jobs: int | None = 1,
-    profiler: StageTimer | None = None,
-    ledger: RunLedger | None = None,
 ) -> list[str]:
     """One rendered block per paper section; sections whose data are
     insufficient (e.g. no Indian users) are reported as skipped rather
@@ -497,30 +486,11 @@ def section_reports(
 
     ``jobs`` fans the fragments out over a process pool (``None`` = one
     worker per CPU); the rendered text is byte-identical for any value.
-    ``profiler`` collects one :class:`StageTiming` per fragment, in
-    report order. ``ledger`` accumulates the analysis stage's run-ledger
-    events (``report/<key>`` spans, experiment and matching counters),
-    merged in fragment-declaration order for any worker count.
+    The analysis stage's run-ledger events (``report/<key>`` spans,
+    experiment and matching counters) land in the ambient ledger
+    (:func:`repro.obs.ledger.scoped`), identically for any worker count.
     """
-    if not dasu:
-        raise AnalysisError("a report needs at least the Dasu dataset")
-    keys = [key for _, section_keys in _SECTIONS for key in section_keys]
-    outputs = run_sharded(
-        _run_fragment,
-        keys,
-        jobs=jobs,
-        initializer=_init_fragment_worker,
-        initargs=(dasu, fcc, survey),
-        ledger=ledger,
-    )
-    by_key = {out.key: out for out in outputs}
-    if profiler is not None:
-        for out in outputs:
-            profiler.add(out.timing)
-    return [
-        _assemble_section(header, [by_key[k] for k in section_keys])
-        for header, section_keys in _SECTIONS
-    ]
+    return _fold_sections(_render_pooled(dasu, fcc, survey, jobs))
 
 
 def full_report(
@@ -529,26 +499,15 @@ def full_report(
     survey: PlanSurvey | None = None,
     *,
     jobs: int | None = 1,
-    profiler: StageTimer | None = None,
-    ledger: RunLedger | None = None,
 ) -> str:
     """The complete paper-vs-measured report as one string.
 
-    See :func:`section_reports` for the ``jobs``/``profiler``/``ledger``
-    contract; the report text is byte-identical for any worker count.
+    See :func:`section_reports` for the ``jobs`` and ledger contract;
+    the report text is byte-identical for any worker count.
     """
-    header = (
-        "Reproduction report — Bischof, Bustamante & Stanojevic, "
-        "IMC 2014\n"
-        f"datasets: {len(dasu)} Dasu users"
-        + (f", {len(fcc)} FCC users" if fcc else "")
-        + (f", {survey.n_plans} plans" if survey is not None else "")
+    return assemble_report(
+        _render_pooled(dasu, fcc, survey, jobs),
+        n_dasu=len(dasu),
+        n_fcc=len(fcc) if fcc else 0,
+        n_plans=survey.n_plans if survey is not None else None,
     )
-    divider = "=" * 72
-    blocks = [header]
-    for section in section_reports(
-        dasu, fcc, survey, jobs=jobs, profiler=profiler, ledger=ledger
-    ):
-        blocks.append(divider)
-        blocks.append(section)
-    return "\n".join(blocks)

@@ -89,11 +89,10 @@ from typing import Sequence
 from .analysis import capacity, characterization, longitudinal, price, quality, upgrade_cost
 from .analysis.report import format_experiment_row
 from .core.executor import resolve_jobs
-from .core.timing import format_profile
 from .datasets import WorldConfig, build_world
 from .datasets.cache import WorldCache, cache_key
 from .faults import FAULT_PROFILES, fault_profile
-from .obs.ledger import RunLedger
+from .obs.ledger import RunLedger, format_profile
 from .obs.manifest import run_manifest, write_manifest
 from .datasets.io import (
     read_survey_csv,
@@ -417,13 +416,7 @@ def _report(args: argparse.Namespace) -> int:
         # The profile is a view over the ledger's report/* spans. It
         # goes to stderr so the report itself stays byte-identical
         # (and pipeable) whether or not it is requested.
-        print(
-            format_profile(
-                ledger.stage_timings(prefix="report/"),
-                title="analysis profile",
-            ),
-            file=sys.stderr,
-        )
+        print(format_profile(ledger.spans, prefix="report/"), file=sys.stderr)
     if args.trace:
         _write_trace(
             ledger,

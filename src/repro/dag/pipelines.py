@@ -185,7 +185,7 @@ def _report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
             f"the report kind needs a world or dataset input, got "
             f"{type(data).__name__}"
         )
-    text = full_report(dasu, fcc, survey, jobs=ctx.jobs, ledger=current())
+    text = full_report(dasu, fcc, survey, jobs=ctx.jobs)
     return FileBundle(files={"report.txt": text + "\n"})
 
 
@@ -279,9 +279,14 @@ def _world_slice_fingerprint(slice_: WorldSlice) -> str:
 
 
 def _report_fragment_kind(config: dict, inputs: dict, ctx) -> dict:
-    from ..analysis.paper_report import render_fragment
+    from ..analysis.paper_report import fragment_keys, render_fragment
 
     key = str(config["fragment"])
+    if key not in fragment_keys():
+        raise DagError(
+            f"unknown report fragment {key!r}; known fragments: "
+            f"{', '.join(fragment_keys())}"
+        )
     slices: dict[str, Any] = {}
     for value in inputs.values():
         if not isinstance(value, WorldSlice):

@@ -10,11 +10,13 @@ kinds:
 * **gauges** — point-in-time values set once per run (dataset sizes,
   pool sizes). Merging takes the union; conflicting values for the same
   key raise, which keeps merges order-independent.
-* **spans** — named wall/CPU durations, the generalization of
-  :class:`repro.core.timing.StageTiming` to the whole pipeline. Spans
-  nest by path-like names (``"build/chunk/dasu/US/0"``) and may carry a
-  shard label. Merging concatenates; serialization applies a canonical
-  sort, so merged ledgers are independent of completion order.
+* **spans** — named wall/CPU durations, each measured inside the
+  process that did the work. Spans nest by path-like names
+  (``"build/chunk/dasu/US/0"``) and may carry a shard label. Merging
+  concatenates; serialization applies a canonical sort, so merged
+  ledgers are independent of completion order. Spans are the run's
+  only clock: ``repro report --profile`` renders the ``report/*`` spans
+  with :func:`format_profile`.
 
 Workers record into a per-process *ambient* ledger installed by
 :func:`scoped` (see :func:`repro.core.executor.run_sharded`); the parent
@@ -35,16 +37,16 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..exceptions import LedgerError
-from ..core.timing import StageTiming
 
 __all__ = [
     "RunLedger",
     "Span",
     "count",
     "current",
+    "format_profile",
     "gauge",
     "scoped",
     "span",
@@ -140,25 +142,6 @@ class RunLedger:
         self.spans.extend(other.spans)
         return self
 
-    # -- views ---------------------------------------------------------------
-
-    def stage_timings(self, prefix: str | None = None) -> list[StageTiming]:
-        """Spans as :class:`StageTiming` rows (the ``--profile`` view).
-
-        ``prefix`` filters to spans under that path and strips it from
-        the reported names, so ``stage_timings("report/")`` yields the
-        per-fragment profile of the analysis stage.
-        """
-        rows = []
-        for s in sorted(self.spans, key=_canonical_span_key):
-            name = s.name
-            if prefix is not None:
-                if not name.startswith(prefix):
-                    continue
-                name = name[len(prefix):]
-            rows.append(StageTiming(name=name, wall_s=s.wall_s, cpu_s=s.cpu_s))
-        return rows
-
     # -- serialization -------------------------------------------------------
 
     def events(self, include_timings: bool = False) -> list[dict]:
@@ -226,6 +209,39 @@ class RunLedger:
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise LedgerError(f"bad ledger line {line_no}: {exc}") from None
         return ledger
+
+
+def format_profile(
+    spans: Iterable[Span], prefix: str = "", title: str = "analysis profile"
+) -> str:
+    """Render the spans under ``prefix`` as an aligned table.
+
+    One row per span — ``name  wall(s)  cpu(s)``, with ``prefix``
+    stripped from the name — followed by a total row summing both
+    columns. Rows are sorted by *name*, never by duration: durations
+    vary run to run and (under a process pool) with scheduling, so a
+    duration sort would shuffle the table across ``--jobs`` values.
+    With the timing columns masked, profiles of the same run are
+    byte-identical for any worker count. Span durations are measured
+    inside the process that ran the work, so under ``--jobs N`` the
+    total can exceed the elapsed time (it is the amount of work done,
+    not the time you waited).
+    """
+    rows = sorted(
+        (s.name[len(prefix):], s.wall_s, s.cpu_s)
+        for s in spans
+        if s.name.startswith(prefix)
+    )
+    width = max([len(name) for name, _, _ in rows], default=4)
+    lines = [title]
+    for name, wall_s, cpu_s in rows:
+        lines.append(f"  {name:<{width}}  wall {wall_s:8.3f} s  cpu {cpu_s:8.3f} s")
+    total_wall = sum(wall_s for _, wall_s, _ in rows)
+    total_cpu = sum(cpu_s for _, _, cpu_s in rows)
+    lines.append(
+        f"  {'total':<{width}}  wall {total_wall:8.3f} s  cpu {total_cpu:8.3f} s"
+    )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 The report's fragments run through the same process pool as the world
 builder; these tests pin the determinism guarantee — the rendered report
-is byte-identical for any ``jobs`` — and the profiling contract.
+is byte-identical for any ``jobs`` — and the ledger contract behind
+``--profile``.
 """
 
 import re
 
 import pytest
 
-from repro.analysis.paper_report import full_report, section_reports
-from repro.core.timing import StageTimer, format_profile
+from repro.analysis.paper_report import fragment_keys, full_report, section_reports
 from repro.exceptions import ReproError
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RunLedger, format_profile, scoped
 
 
 @pytest.fixture(scope="module")
@@ -51,36 +51,47 @@ class TestParallelEquivalence:
             full_report(small_world.dasu.users, jobs=0)
 
 
+def _report_ledger(small_world, jobs: int, **kwargs) -> RunLedger:
+    """The run ledger of one full report rendered with ``jobs`` workers."""
+    with scoped(RunLedger()) as ledger:
+        full_report(small_world.dasu.users, jobs=jobs, **kwargs)
+    return ledger
+
+
 class TestProfiler:
-    def test_profiler_collects_every_fragment(self, small_world):
-        profiler = StageTimer()
-        full_report(
-            small_world.dasu.users,
-            small_world.fcc.users,
-            small_world.survey,
-            profiler=profiler,
+    """``--profile`` renders the ledger's report/<key> spans, so every
+    run must record exactly one such span per fragment."""
+
+    @staticmethod
+    def _fragment_spans(ledger: RunLedger) -> list[str]:
+        return sorted(
+            s.name.removeprefix("report/")
+            for s in ledger.spans
+            if s.name.startswith("report/")
         )
-        names = [t.name for t in profiler.timings]
-        assert len(names) == len(set(names))
-        for key in ("fig1", "table1", "fig6", "table7", "fig12"):
-            assert key in names
-        assert all(t.wall_s >= 0.0 for t in profiler.timings)
+
+    def test_profiler_collects_every_fragment(self, small_world):
+        assert len(fragment_keys()) == 19
+        for jobs in (1, 2):
+            ledger = _report_ledger(
+                small_world,
+                jobs,
+                fcc=small_world.fcc.users,
+                survey=small_world.survey,
+            )
+            assert self._fragment_spans(ledger) == sorted(fragment_keys())
+            assert all(s.wall_s >= 0.0 and s.cpu_s >= 0.0 for s in ledger.spans)
 
     def test_parallel_profile_covers_same_fragments(self, small_world):
-        serial, parallel = StageTimer(), StageTimer()
-        full_report(small_world.dasu.users, profiler=serial)
-        full_report(small_world.dasu.users, profiler=parallel, jobs=2)
-        assert [t.name for t in serial.timings] == [
-            t.name for t in parallel.timings
-        ]
+        serial = self._fragment_spans(_report_ledger(small_world, 1))
+        parallel = self._fragment_spans(_report_ledger(small_world, 2))
+        assert serial == parallel == sorted(fragment_keys())
 
 
 def _masked_profile(ledger: RunLedger) -> str:
     """The rendered --profile table with every duration blanked out —
     what must be byte-identical across worker counts."""
-    table = format_profile(
-        ledger.stage_timings(prefix="report/"), title="analysis profile"
-    )
+    table = format_profile(ledger.spans, prefix="report/")
     # Absorb the numbers' right-align padding as well as their digits:
     # a duration crossing a power of ten between runs (slow CI box,
     # scheduling noise) changes its width, and that is still "only the
@@ -92,25 +103,22 @@ class TestReportLedger:
     def test_ledger_byte_identical_across_jobs(self, small_world):
         ledgers = []
         for jobs in (1, 4):
-            ledger = RunLedger()
-            full_report(
-                small_world.dasu.users,
-                small_world.fcc.users,
-                small_world.survey,
-                jobs=jobs,
-                ledger=ledger,
+            ledgers.append(
+                _report_ledger(
+                    small_world,
+                    jobs,
+                    fcc=small_world.fcc.users,
+                    survey=small_world.survey,
+                )
             )
-            ledgers.append(ledger)
         assert ledgers[0].to_jsonl() == ledgers[1].to_jsonl()
 
     def test_spans_cover_every_fragment(self, small_world):
-        ledger = RunLedger()
-        full_report(
-            small_world.dasu.users,
-            small_world.fcc.users,
-            small_world.survey,
-            jobs=2,
-            ledger=ledger,
+        ledger = _report_ledger(
+            small_world,
+            2,
+            fcc=small_world.fcc.users,
+            survey=small_world.survey,
         )
         names = {s.name for s in ledger.spans}
         for key in ("fig1", "table1", "fig6", "table7", "fig12", "iqb"):
@@ -123,8 +131,7 @@ class TestReportLedger:
         assert ledger.counters["report.fragments.run"] == fragment_spans
 
     def test_experiment_counters_recorded(self, small_world):
-        ledger = RunLedger()
-        full_report(small_world.dasu.users, jobs=2, ledger=ledger)
+        ledger = _report_ledger(small_world, 2)
         assert ledger.counters["experiments.run"] > 0
         assert ledger.counters["matching.runs"] > 0
 
@@ -134,7 +141,5 @@ class TestReportLedger:
         # the name-sorted table, only the durations may differ.
         tables = []
         for jobs in (1, 4):
-            ledger = RunLedger()
-            full_report(small_world.dasu.users, jobs=jobs, ledger=ledger)
-            tables.append(_masked_profile(ledger))
+            tables.append(_masked_profile(_report_ledger(small_world, jobs)))
         assert tables[0] == tables[1]

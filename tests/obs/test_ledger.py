@@ -1,13 +1,23 @@
 """The run ledger: recording, merging, and serialization invariants."""
 
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import LedgerError
-from repro.obs.ledger import RunLedger, Span, count, current, gauge, scoped, span
+from repro.obs.ledger import (
+    RunLedger,
+    Span,
+    count,
+    current,
+    format_profile,
+    gauge,
+    scoped,
+    span,
+)
 
 
 class TestRecording:
@@ -45,11 +55,12 @@ class TestRecording:
     def test_span_records_duration(self):
         ledger = RunLedger()
         with ledger.span("work", shard="s0"):
-            pass
+            time.sleep(0.01)
         (recorded,) = ledger.spans
         assert recorded.name == "work"
         assert recorded.shard == "s0"
-        assert recorded.wall_s >= 0.0
+        assert recorded.wall_s >= 0.01
+        assert recorded.cpu_s >= 0.0
 
     def test_span_recorded_on_exception(self):
         ledger = RunLedger()
@@ -182,12 +193,41 @@ class TestSerialization:
         with pytest.raises(LedgerError):
             RunLedger.from_jsonl('{"type": "mystery", "name": "x"}\n')
 
-    def test_stage_timings_view_filters_and_strips_prefix(self):
-        ledger = RunLedger()
-        ledger.add_span(Span("report/fig1", 1.0, 0.5))
-        ledger.add_span(Span("build/chunk/x", 9.0, 9.0))
-        rows = ledger.stage_timings(prefix="report/")
-        assert [(t.name, t.wall_s) for t in rows] == [("fig1", 1.0)]
+
+class TestFormatProfile:
+    def test_sorted_by_name_with_total(self):
+        # Name order, not duration order: durations vary run to run, so
+        # a duration sort would shuffle rows across --jobs values.
+        text = format_profile([Span("slow", 2.0, 1.5), Span("fast", 0.1, 0.1)])
+        lines = text.splitlines()
+        assert lines[0] == "analysis profile"
+        assert "fast" in lines[1]
+        assert "slow" in lines[2]
+        assert "total" in lines[-1]
+        assert "2.100" in lines[-1]  # summed wall seconds
+
+    def test_row_order_independent_of_durations(self):
+        # The same spans with permuted durations yield rows in the same
+        # order — the byte-stability contract behind jobs=1 vs jobs=N
+        # profile comparisons (with timing columns masked).
+        a = format_profile([Span("x", 5.0, 4.0), Span("y", 0.1, 0.1)])
+        b = format_profile([Span("x", 0.1, 0.1), Span("y", 5.0, 4.0)])
+        names_a = [line.split()[0] for line in a.splitlines()[1:]]
+        names_b = [line.split()[0] for line in b.splitlines()[1:]]
+        assert names_a == names_b == ["x", "y", "total"]
+
+    def test_prefix_filters_and_strips_names(self):
+        spans = [Span("report/fig1", 1.0, 0.5), Span("build/chunk/x", 9.0, 9.0)]
+        lines = format_profile(spans, prefix="report/").splitlines()
+        assert [line.split()[0] for line in lines[1:]] == ["fig1", "total"]
+        assert "1.000" in lines[-1]  # the build span is not summed
+
+    def test_custom_title(self):
+        text = format_profile([Span("s", 0.0, 0.0)], title="report stages")
+        assert text.splitlines()[0] == "report stages"
+
+    def test_empty_profile_still_renders_total(self):
+        assert "total" in format_profile([])
 
 
 class TestAmbient:

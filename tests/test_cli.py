@@ -1,7 +1,11 @@
 """The command-line interface."""
 
+import json
+import re
+
 import pytest
 
+from repro.analysis.paper_report import fragment_keys
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.datasets.io import write_config_json, write_survey_csv, write_users_csv
 
@@ -211,6 +215,24 @@ class TestReport:
         rc = main(["report", "--data", str(data_dir)])
         assert rc == 0
         assert capsys.readouterr().err == ""
+
+    def test_profile_rows_are_fragment_keys_for_any_jobs(
+        self, data_dir, tmp_path, capsys
+    ):
+        # One row per fragment (sorted by key) plus the total; with the
+        # durations masked the table is the same for any worker count.
+        masked = []
+        for jobs in ("1", "2"):
+            assert main(
+                ["report", "--data", str(data_dir), "--jobs", jobs,
+                 "--out", str(tmp_path / f"j{jobs}.txt"), "--profile"]
+            ) == 0
+            lines = capsys.readouterr().err.splitlines()
+            assert lines[0] == "analysis profile"
+            rows = [line.split()[0] for line in lines[1:]]
+            assert rows == sorted(fragment_keys()) + ["total"]
+            masked.append(re.sub(r" *[0-9][0-9.]*", " #", "\n".join(lines)))
+        assert masked[0] == masked[1]
 
 
 class TestTrace:
@@ -462,3 +484,19 @@ class TestIqb:
         rc = main(["iqb", "--data", str(data_dir), "--trace"])
         assert rc == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestDagRun:
+    def test_unknown_fragment_rejected_cleanly(self, tmp_path, capsys):
+        spec = tmp_path / "dag.json"
+        spec.write_text(json.dumps({"stages": [
+            {"name": "f", "kind": "report-fragment",
+             "config": {"fragment": "bogus"}},
+        ]}))
+        rc = main(["dag", "run", "--spec", str(spec),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'bogus'" in err
+        assert ", ".join(fragment_keys()) in err
