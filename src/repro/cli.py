@@ -20,7 +20,9 @@ The subcommands cover the study lifecycle::
 config.json); ``analyze`` runs a single paper experiment against a
 persisted dataset; ``report`` renders the full paper-vs-measured report.
 Everything operates on the on-disk record formats, so third-party
-datasets in the same schema work too.
+datasets in the same schema work too. The experiments ``analyze``,
+``report`` and ``sweep`` run are declared once, in
+:mod:`repro.analysis.registry`; this module keeps no list of its own.
 
 ``build`` and ``report`` consult an on-disk world cache keyed by the
 full configuration and package version (see
@@ -86,8 +88,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import capacity, characterization, longitudinal, price, quality, upgrade_cost
-from .analysis.report import format_experiment_row
+from .analysis.registry import ANALYZE
 from .core.executor import resolve_jobs
 from .datasets import WorldConfig, build_world
 from .datasets.cache import WorldCache, cache_key
@@ -95,25 +96,19 @@ from .faults import FAULT_PROFILES, fault_profile
 from .obs.ledger import RunLedger, format_profile
 from .obs.manifest import run_manifest, write_manifest
 from .datasets.io import (
-    read_survey_csv,
-    read_users_csv,
-    read_users_npy,
+    load_dataset_dir,
     write_config_json,
     write_survey_csv,
     write_users_csv,
     write_users_npy,
 )
-from .exceptions import DatasetError, ReproError
+from .exceptions import ReproError
 
 __all__ = ["main"]
 
-#: Experiments runnable via ``analyze``; each maps to (needs_survey, runner).
-EXPERIMENTS = (
-    "fig1", "fig2", "fig4", "fig6", "fig7", "fig10", "fig11", "fig12",
-    "table1", "table2", "table3", "table5", "table6", "table7", "table8",
-    # Extensions beyond the paper's evaluation.
-    "caps", "diurnal", "segments", "upload",
-)
+#: Experiments runnable via ``analyze``: the registry's entries with an
+#: ``analyze`` summary (see :mod:`repro.analysis.registry`).
+EXPERIMENTS = tuple(ANALYZE)
 
 
 def _world_config(args: argparse.Namespace) -> WorldConfig:
@@ -191,179 +186,26 @@ def _build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load(data_dir: Path):
-    users_path = data_dir / "users.csv"
-    npy_path = data_dir / "users.npy"
-    users = None
-    if npy_path.exists():
-        # Columnar shard, when present, is the fast path: no CSV parsing
-        # and full-precision hourly profiles (the CSV stores them at %.6g).
-        # Sorting by user_id matches read_users_csv's return order.
-        try:
-            columns = read_users_npy(npy_path)
-        except DatasetError:
-            columns = None  # unreadable/foreign shard: fall back to CSV
-        if columns is not None:
-            users = sorted(columns.to_records(), key=lambda u: u.user_id)
-    if users is None:
-        if not users_path.exists():
-            raise ReproError(f"no users.csv under {data_dir}")
-        users = read_users_csv(users_path)
-    dasu = [u for u in users if u.source == "dasu"]
-    fcc = [u for u in users if u.source == "fcc"]
-    survey = None
-    survey_path = data_dir / "survey.csv"
-    if survey_path.exists():
-        survey = read_survey_csv(survey_path)
-    return dasu, fcc, survey
-
-
-def _run_experiment(name: str, dasu, fcc, survey) -> str:
-    if name in ("table5", "fig10") and survey is None:
-        raise ReproError(f"{name} needs survey.csv next to users.csv")
-    lines: list[str] = [f"experiment: {name}"]
-    if name == "fig1":
-        for label, paper, measured in characterization.figure1(dasu).summary_rows():
-            lines.append(f"  {label:<40} paper {paper:>8.3f} measured {measured:>8.3f}")
-    elif name == "fig2":
-        result = capacity.figure2(dasu)
-        for title, curve in result.panels():
-            lines.append(f"  {title}: r = {curve.correlation:.3f}")
-    elif name == "fig4":
-        result = capacity.figure4(dasu)
-        lines.append(f"  mean usage ratio at median: {result.mean_ratio_at_median:.2f}")
-        lines.append(f"  peak usage ratio at median: {result.peak_ratio_at_median:.2f}")
-    elif name == "fig6":
-        result = longitudinal.figure6(dasu, min_users=30)
-        lines.append(format_experiment_row("2011 vs 2013", None, result.cross_year_experiment))
-        lines.append(f"  max class drift: {result.max_class_drift():.3f}")
-    elif name == "fig7":
-        result = price.figure7(dasu)
-        for entry in result.countries:
-            lines.append(
-                f"  {entry.country:<14} capacity {entry.median_capacity_mbps:8.2f} Mbps"
-                f"  utilization {100 * entry.mean_peak_utilization:5.1f}%"
-            )
-    elif name == "fig10":
-        result = upgrade_cost.figure10(survey)
-        lines.append(f"  qualifying markets: {result.n_countries}")
-        for country in ("Japan", "US", "Ghana"):
-            cost = result.cost_for(country)
-            if cost is not None:
-                lines.append(f"  {country:<8} ${cost:.2f}/Mbps")
-    elif name == "fig11":
-        result = quality.figure11(dasu)
-        lines.append(
-            f"  India lower demand than matched US: "
-            f"{100 * result.india_lower_demand_share:.0f}% (paper 62%)"
-        )
-    elif name == "fig12":
-        result = quality.figure12(dasu)
-        lines.append(
-            f"  median loss: India {result.india_median_loss_pct:.2f}% "
-            f"vs rest {result.other_median_loss_pct:.3f}%"
-        )
-    elif name == "table1":
-        result = capacity.table1(dasu)
-        for label, paper, experiment in result.rows():
-            lines.append(format_experiment_row(label, paper, experiment))
-    elif name == "table2":
-        result = capacity.table2(dasu, "dasu")
-        for row in result.rows:
-            lines.append(
-                format_experiment_row(
-                    f"{row.control_bin.label()} vs next", None, row.experiment
-                )
-            )
-    elif name == "table3":
-        result = price.table3(dasu)
-        for label, paper, experiment in result.rows():
-            lines.append(format_experiment_row(label, paper, experiment))
-    elif name == "table5":
-        result = upgrade_cost.table5(survey)
-        for row in result.rows:
-            if row.n_countries:
-                lines.append(
-                    f"  {row.region:<28} >$1 {100 * row.share_above_1:3.0f}%"
-                    f"  >$5 {100 * row.share_above_5:3.0f}%"
-                    f"  >$10 {100 * row.share_above_10:3.0f}%"
-                )
-    elif name == "table6":
-        for include_bt in (True, False):
-            result = upgrade_cost.table6(dasu, include_bt=include_bt)
-            tag = "w/ BT" if include_bt else "no BT"
-            for label, paper, experiment in result.rows():
-                lines.append(format_experiment_row(f"{label} ({tag})", paper, experiment))
-    elif name == "table7":
-        result = quality.table7(dasu)
-        for row in result.rows:
-            lines.append(
-                format_experiment_row(
-                    f"vs {row.treatment_bin.label('ms')}",
-                    row.paper_percent,
-                    row.experiment,
-                )
-            )
-    elif name == "table8":
-        result = quality.table8(dasu)
-        for row in result.rows:
-            lines.append(
-                format_experiment_row(
-                    row.experiment.result.name, row.paper_percent, row.experiment
-                )
-            )
-    elif name == "caps":
-        from .analysis.caps import caps_experiment
-
-        result = caps_experiment(dasu)
-        r = result.experiment.result
-        lines.append(
-            f"  {result.n_tight_capped} tightly capped vs "
-            f"{result.n_uncapped} uncapped users"
-        )
-        lines.append(format_experiment_row("uncapped demand more", None, r))
-    elif name == "diurnal":
-        from .analysis.diurnal import population_diurnal_profile
-
-        profile = population_diurnal_profile(dasu)
-        lines.append(
-            f"  peak hour {profile.peak_hour}:00, trough "
-            f"{profile.trough_hour}:00, peak/trough "
-            f"x{profile.peak_to_trough_ratio:.1f}, coverage bias "
-            f"{profile.coverage_bias():.2f}"
-        )
-    elif name == "segments":
-        from .analysis.segments import segment_users
-
-        result = segment_users(dasu)
-        for profile in result.profiles:
-            lines.append(
-                f"  {profile.segment:<10} n={profile.n_users:<6} "
-                f"median peak {profile.median_peak_mbps:.3f} Mbps  "
-                f"mean util {100 * profile.mean_peak_utilization:.1f}%"
-            )
-    elif name == "upload":
-        from .analysis.upload import seeding_experiment, upload_asymmetry
-
-        asymmetry = upload_asymmetry(dasu)
-        lines.append(
-            f"  median up/down ratio {asymmetry.median_ratio:.3f} "
-            f"(n={asymmetry.n_users})"
-        )
-        seeding = seeding_experiment(dasu)
-        lines.append(
-            format_experiment_row(
-                "BT households upload more", None, seeding
-            )
-        )
-    else:
-        raise ReproError(f"unknown experiment {name!r}")
-    return "\n".join(lines)
+#: What ``analyze`` tells a dataset directory that lacks a dataset an
+#: experiment needs.
+_NEEDED_FILE = {
+    "survey": "survey.csv next to users.csv",
+    "fcc": "FCC users in users.csv",
+}
 
 
 def _analyze(args: argparse.Namespace) -> int:
-    dasu, fcc, survey = _load(Path(args.data))
-    print(_run_experiment(args.experiment, dasu, fcc, survey))
+    dasu, fcc, survey = load_dataset_dir(args.data)
+    data = {"dasu": dasu, "fcc": fcc, "survey": survey}
+    lines = [f"experiment: {args.experiment}"]
+    for experiment in ANALYZE[args.experiment]:
+        missing = experiment.missing(**data)
+        if missing is not None:
+            raise ReproError(
+                f"{args.experiment} needs {_NEEDED_FILE[missing]}"
+            )
+        lines.extend(experiment.summary(experiment.run(**data)))
+    print("\n".join(lines))
     return 0
 
 
@@ -650,6 +492,8 @@ def _iqb(args: argparse.Namespace) -> int:
     from .datasets.cache import build_or_load_world
     from .obs import ledger as obs
 
+    if args.trace and not args.out:
+        raise ReproError("iqb --trace needs --out to hold the artifacts")
     jobs = resolve_jobs(args.jobs)
     if args.config is None or args.config in IQB_PRESETS:
         iqb_config = resolve_iqb_config(args.config)
@@ -660,7 +504,7 @@ def _iqb(args: argparse.Namespace) -> int:
     config = None
     with obs.scoped(ledger):
         if args.data is not None:
-            dasu, fcc, _ = _load(Path(args.data))
+            dasu, fcc, _ = load_dataset_dir(args.data)
         else:
             config = _world_config(args)
             world, from_cache = build_or_load_world(
@@ -692,8 +536,6 @@ def _iqb(args: argparse.Namespace) -> int:
     else:
         print(text)
     if args.trace:
-        if not args.out:
-            raise ReproError("iqb --trace needs --out to hold the artifacts")
         _write_trace(
             ledger,
             run_manifest(
@@ -710,7 +552,7 @@ def _iqb(args: argparse.Namespace) -> int:
 def _export(args: argparse.Namespace) -> int:
     from .analysis.export import export_figure_data
 
-    dasu, fcc, survey = _load(Path(args.data))
+    dasu, fcc, survey = load_dataset_dir(args.data)
     files = export_figure_data(Path(args.out), dasu, fcc, survey)
     print(f"wrote {len(files)} figure-data files to {args.out}")
     return 0

@@ -46,7 +46,12 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..datasets.cache import WorldCache, build_or_load_world, cache_key
-from ..datasets.io import config_from_payload, config_payload, survey_csv_text
+from ..datasets.io import (
+    config_from_payload,
+    config_payload,
+    load_dataset_dir,
+    survey_csv_text,
+)
 from ..datasets.world import World, WorldConfig
 from ..exceptions import DagError
 from ..faults import fault_profile
@@ -157,13 +162,9 @@ def _build_fingerprint(world: World) -> str:
 
 
 def _load_data_kind(config: dict, inputs: dict, ctx) -> DatasetTriple:
-    from ..cli import _load  # lazy: cli imports this module's package
-
     if ctx.data_dir is None:
         raise DagError("the load-data kind needs RunContext.data_dir")
-    from pathlib import Path
-
-    dasu, fcc, survey = _load(Path(ctx.data_dir))
+    dasu, fcc, survey = load_dataset_dir(ctx.data_dir)
     return DatasetTriple(dasu=tuple(dasu), fcc=tuple(fcc), survey=survey)
 
 
@@ -191,13 +192,15 @@ def _report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
 
 def _sweep_cell_kind(config: dict, inputs: dict, ctx) -> CellOutcome:
     from ..sweep.engine import _CellTask, _run_cell
+    from ..sweep.runners import check_experiments
 
+    experiments = check_experiments(config["experiments"])
     world_config = config_from_payload(config["world"])
     task = _CellTask(
         scenario=str(config["scenario"]),
         seed=int(config["seed"]),
         config=world_config,
-        experiments=tuple(config["experiments"]),
+        experiments=experiments,
         cache_root=ctx.cache_root,
         use_cache=ctx.use_cache,
         iqb_config=config.get("iqb_config"),
@@ -440,7 +443,7 @@ def fragment_report_spec(
 
     ``world-source`` (build or cache-load) fans into three ``world-slice``
     stages (dasu, fcc, survey), each fragment depends on exactly the
-    slices it reads (:data:`repro.analysis.paper_report.FRAGMENT_INPUTS`),
+    slices it reads (:func:`repro.analysis.paper_report.fragment_inputs`),
     and ``report-assemble`` folds every fragment into a ``report.txt``
     byte-identical to :func:`repro.analysis.paper_report.full_report`.
 
@@ -512,14 +515,16 @@ def sweep_spec(
     that folds every cell into the stability report (``repro sweep``
     formats in-process instead and omits it).
     """
-    from ..sweep.grid import ScenarioGrid  # lazy: cycle with repro.sweep
+    # Lazy: cycle with repro.sweep.
+    from ..sweep.grid import ScenarioGrid
+    from ..sweep.runners import check_experiments
 
+    experiments = check_experiments(experiments)
     if not isinstance(grid, ScenarioGrid):
         grid = ScenarioGrid.from_payload(grid)
     base_payload = _world_payload(base_config, "sweep base config")
     base = config_from_payload(base_payload)
     seeds = tuple(int(s) for s in seeds)
-    experiments = tuple(experiments)
     stages: list[StageSpec] = []
     cell_names: list[str] = []
     for scenario, seed, cell_config in grid.configs(base, seeds):

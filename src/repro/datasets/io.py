@@ -40,6 +40,7 @@ from .world import WorldConfig
 __all__ = [
     "config_from_payload",
     "config_payload",
+    "load_dataset_dir",
     "read_config_json",
     "read_survey_csv",
     "read_users_csv",
@@ -517,3 +518,34 @@ def read_config_json(path: str | Path) -> WorldConfig:
         return config_from_payload(payload)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
+
+
+def load_dataset_dir(
+    data_dir: str | Path,
+) -> tuple[list[UserRecord], list[UserRecord], PlanSurvey | None]:
+    """``(dasu, fcc, survey)`` from a directory written by ``repro build``
+    (``survey`` is ``None`` without a ``survey.csv``).
+
+    A readable ``users.npy`` shard is the fast path: no CSV parsing and
+    full-precision hourly profiles (the CSV stores them at %.6g)."""
+    data_dir = Path(data_dir)
+    users = None
+    npy_path = data_dir / "users.npy"
+    if npy_path.exists():
+        try:
+            columns = read_users_npy(npy_path)
+        except DatasetError:
+            columns = None  # unreadable/foreign shard: fall back to CSV
+        if columns is not None:  # in read_users_csv's (user_id) order
+            users = sorted(columns.to_records(), key=lambda u: u.user_id)
+    if users is None:
+        users_path = data_dir / "users.csv"
+        if not users_path.exists():
+            raise DatasetError(f"no users.csv under {data_dir}")
+        users = read_users_csv(users_path)
+    survey_path = data_dir / "survey.csv"
+    return (
+        [u for u in users if u.source == "dasu"],
+        [u for u in users if u.source == "fcc"],
+        read_survey_csv(survey_path) if survey_path.exists() else None,
+    )

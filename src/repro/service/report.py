@@ -221,12 +221,7 @@ class ReportService:
             self._sweep_json = None
             self._sweep_report = None
             return None, None
-        from ..sweep import (
-            SWEEP_EXPERIMENTS,
-            format_sweep_report,
-            run_sweep,
-            sweep_payload,
-        )
+        from ..sweep import format_sweep_report, run_sweep, sweep_payload
 
         state = (payload_key(self.grid.to_payload()), cache_key(config))
         if state == self._sweep_state:
@@ -236,7 +231,6 @@ class ReportService:
             config,
             self.grid,
             seeds,
-            experiments=SWEEP_EXPERIMENTS,
             jobs=self.jobs,
             cache_root=str(self.cache.root),
             use_cache=self.use_cache,

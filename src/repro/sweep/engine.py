@@ -246,13 +246,6 @@ def run_sweep(
     experiments = tuple(experiments)
     if not experiments:
         raise SweepError("a sweep needs at least one experiment")
-    for key in experiments:
-        if key not in SWEEP_EXPERIMENTS:
-            known = ", ".join(SWEEP_EXPERIMENTS)
-            raise SweepError(
-                f"unknown sweep experiment {key!r} "
-                f"(expected one of: {known})"
-            )
     chosen_seeds = _resolve_seeds(grid, seeds)
     root = None if cache_root is None else str(cache_root)
     # The fan-out rides the experiment-DAG scheduler: one sweep-cell
@@ -261,6 +254,7 @@ def run_sweep(
     # The pool backend shards through run_sharded as before, so results
     # and the merged ledger stay byte-identical for any worker count.
     # Lazy import: repro.dag's pipeline kinds call back into this module.
+    # sweep_spec checks the experiment keys before anything is built.
     from ..dag import ProcessPoolBackend, RunContext, run_dag, sweep_spec
 
     spec = sweep_spec(

@@ -1,10 +1,13 @@
 """The experiments a sweep can evaluate in every cell.
 
-Each runner takes a built world's Dasu users and returns the natural
-experiments of one paper table as :class:`VerdictRow` records — the
-verdict (significant *and* practically important, the paper's bar) plus
-the raw "% H holds" behind it. The registry is an ordered mapping so a
-sweep's report always lists experiments in the paper's table order.
+A view of :mod:`repro.analysis.registry`: every registry experiment
+with verdict rows is sweep-runnable, under its group name and in
+registry order, so a sweep's report always lists experiments in the
+paper's table order. A runner takes a built world's Dasu users (and
+the scenario's IQB config) and returns the experiment's rows as
+:class:`VerdictRow` records — the verdict (significant *and*
+practically important, the paper's bar) plus the raw "% H holds"
+behind it.
 
 Rows with zero matched pairs are dropped: they carry no verdict
 evidence and would only add ``NaN`` noise to the stability matrix.
@@ -18,12 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..analysis import capacity, iqb, price, quality, upgrade_cost
+from ..analysis.registry import SWEEP, Experiment
 from ..core.experiments import ExperimentResult
 from ..datasets.records import UserRecord
 from ..exceptions import SweepError
 
-__all__ = ["SWEEP_EXPERIMENTS", "VerdictRow", "run_experiment"]
+__all__ = [
+    "SWEEP_EXPERIMENTS",
+    "VerdictRow",
+    "check_experiments",
+    "run_experiment",
+]
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,18 @@ class VerdictRow:
     significant: bool
     rejects_null: bool
 
+    @classmethod
+    def of(cls, experiment: str, row: str, result: ExperimentResult) -> "VerdictRow":
+        return cls(
+            experiment=experiment,
+            row=row,
+            fraction_holds=float(result.fraction_holds),
+            n_pairs=int(result.n_pairs),
+            p_value=float(result.p_value),
+            significant=bool(result.statistically_significant),
+            rejects_null=bool(result.rejects_null),
+        )
+
     def to_payload(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -50,133 +70,52 @@ class VerdictRow:
         }
 
 
-def _verdict(experiment: str, row: str, result: ExperimentResult) -> VerdictRow:
-    return VerdictRow(
-        experiment=experiment,
-        row=row,
-        fraction_holds=float(result.fraction_holds),
-        n_pairs=int(result.n_pairs),
-        p_value=float(result.p_value),
-        significant=bool(result.statistically_significant),
-        rejects_null=bool(result.rejects_null),
-    )
+def _runner(
+    name: str, experiments: Sequence[Experiment]
+) -> Callable[..., list[VerdictRow]]:
+    def run(users: Sequence[UserRecord], iqb_config=None) -> list[VerdictRow]:
+        rows: list[VerdictRow] = []
+        for experiment in experiments:
+            result = experiment.run(dasu=users, iqb_config=iqb_config)
+            rows.extend(
+                VerdictRow.of(name, label, r)
+                for label, _, r in experiment.verdicts(result)
+                if r.n_pairs > 0
+            )
+        return rows
 
-
-def _rows(
-    experiment: str, labeled: Sequence[tuple[str, ExperimentResult]]
-) -> list[VerdictRow]:
-    return [
-        _verdict(experiment, label, result)
-        for label, result in labeled
-        if result.n_pairs > 0
-    ]
-
-
-def _run_table1(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = capacity.table1(users)
-    return _rows(
-        "table1",
-        [(label, res) for label, _, res in result.rows()],
-    )
-
-
-def _run_table2(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = capacity.table2(users, "dasu")
-    return _rows(
-        "table2",
-        [
-            (f"{row.control_bin.label()} vs next", row.experiment.result)
-            for row in result.rows
-        ],
-    )
-
-
-def _run_table3(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = price.table3(users)
-    return _rows(
-        "table3",
-        [(label, res.result) for label, _, res in result.rows()],
-    )
-
-
-def _run_table6(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    labeled = []
-    for include_bt in (True, False):
-        result = upgrade_cost.table6(users, include_bt=include_bt)
-        tag = "w/ BT" if include_bt else "no BT"
-        labeled.extend(
-            (f"{label} ({tag})", res.result)
-            for label, _, res in result.rows()
-        )
-    return _rows("table6", labeled)
-
-
-def _run_table7(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = quality.table7(users)
-    return _rows(
-        "table7",
-        [
-            (f"vs {row.treatment_bin.label('ms')}", row.experiment.result)
-            for row in result.rows
-        ],
-    )
-
-
-def _run_table8(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = quality.table8(users)
-    return _rows(
-        "table8",
-        [
-            (row.experiment.result.name, row.experiment.result)
-            for row in result.rows
-        ],
-    )
-
-
-def _run_iqb(
-    users: Sequence[UserRecord], iqb_config=None
-) -> list[VerdictRow]:
-    result = iqb.iqb_experiment(users, iqb_config)
-    # The row label stays constant across configs — the config identity
-    # lives in the scenario name, so a grid with an iqb_config axis
-    # lines its cells up in one stability-matrix row.
-    return _rows(
-        "iqb",
-        [("top vs bottom tercile", result.experiment.result)],
-    )
+    return run
 
 
 _RUNNERS: dict[str, Callable[..., list[VerdictRow]]] = {
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table6": _run_table6,
-    "table7": _run_table7,
-    "table8": _run_table8,
-    "iqb": _run_iqb,
+    name: _runner(name, experiments) for name, experiments in SWEEP.items()
 }
 
 #: Every sweep-runnable experiment, in the paper's table order.
 SWEEP_EXPERIMENTS: tuple[str, ...] = tuple(_RUNNERS)
 
 
+def check_experiments(keys: Sequence[str]) -> tuple[str, ...]:
+    """``keys`` as a tuple, once each is known to name a distinct
+    sweep experiment; raises :class:`~repro.exceptions.SweepError`
+    naming the first unknown or repeated key."""
+    keys = tuple(keys)
+    for i, key in enumerate(keys):
+        if key not in _RUNNERS:
+            known = ", ".join(SWEEP_EXPERIMENTS)
+            raise SweepError(
+                f"unknown sweep experiment {key!r} (expected one of: {known})"
+            )
+        if key in keys[:i]:
+            raise SweepError(f"sweep experiment {key!r} is listed twice")
+    return keys
+
+
 def run_experiment(
     key: str, users: Sequence[UserRecord], iqb_config=None
 ) -> list[VerdictRow]:
-    """Run one registered experiment over a cell's Dasu users.
-
-    ``iqb_config`` (a preset name, config payload, or ``None``) only
-    affects the ``iqb`` experiment — the paper-table runners ignore it.
-    Raises :class:`~repro.exceptions.AnalysisError` (bubbled from the
-    analysis layer) when the world cannot support the experiment.
+    """Run one sweep experiment (a key :func:`check_experiments`
+    passed) over a cell's Dasu users; ``iqb_config`` (a preset name,
+    config payload, or ``None``) only reaches experiments that read it.
     """
-    try:
-        runner = _RUNNERS[key]
-    except KeyError:
-        known = ", ".join(SWEEP_EXPERIMENTS)
-        raise SweepError(
-            f"unknown sweep experiment {key!r} (expected one of: {known})"
-        ) from None
-    if key == "iqb":
-        return runner(users, iqb_config)
-    return runner(users)
+    return _RUNNERS[key](users, iqb_config)

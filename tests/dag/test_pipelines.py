@@ -26,7 +26,7 @@ from repro.dag import (
     sweep_spec,
 )
 from repro.datasets import WorldConfig, build_world
-from repro.exceptions import DagError
+from repro.exceptions import DagError, SweepError
 from repro.sweep import format_sweep_report, run_sweep, sweep_payload
 
 from ..sweep.conftest import SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, small_sweep_grid
@@ -206,6 +206,19 @@ class TestExpandPipeline:
                                  "n_fcc_users": 0, "faults": "off"}},
         })
         assert "faults" not in off.stage("world").config["world"]
+
+    @pytest.mark.parametrize(
+        "experiments, message",
+        [
+            (["table9"], "unknown sweep experiment 'table9'"),
+            (["table2", "table2"], "'table2' is listed twice"),
+        ],
+    )
+    def test_sweep_shorthand_checks_experiments(self, experiments, message):
+        with pytest.raises(SweepError, match=message):
+            expand_pipeline(
+                {"pipeline": "sweep", "config": {"experiments": experiments}}
+            )
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(DagError, match="unknown pipeline"):

@@ -155,6 +155,19 @@ class TestSweepErrors:
         assert rc == 2
         assert "unknown sweep experiment" in capsys.readouterr().err
 
+    def test_repeated_experiment_rejected_before_any_build(
+        self, tmp_path, capsys
+    ):
+        cache = tmp_path / "cache"
+        rc = main(
+            ["sweep", "--experiments", "table1,table1", "--out",
+             str(tmp_path / "out"), "--cache-dir", str(cache)] + ARGS
+        )
+        assert rc == 2
+        assert "'table1' is listed twice" in capsys.readouterr().err
+        assert not cache.exists()
+        assert not (tmp_path / "out" / "sweep.json").exists()
+
     def test_missing_grid_file_rejected(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--grid", str(tmp_path / "absent.json")] + ARGS

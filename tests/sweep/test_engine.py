@@ -103,6 +103,21 @@ class TestRunSweep:
                 experiments=("table9",),
             )
 
+    @pytest.mark.parametrize(
+        "experiments, bad",
+        [(("table1", "table1"), "table1"), (("table1", "iqb", "iqb"), "iqb")],
+    )
+    def test_repeated_experiment_rejected(self, tmp_path, experiments, bad):
+        with pytest.raises(SweepError, match=f"'{bad}' is listed twice"):
+            run_sweep(
+                SMALL_SWEEP_BASE,
+                ScenarioGrid.baseline(),
+                (5,),
+                experiments=experiments,
+                cache_root=tmp_path / "cache",
+            )
+        assert not (tmp_path / "cache").exists()
+
     def test_no_experiments_rejected(self):
         with pytest.raises(SweepError, match="at least one experiment"):
             run_sweep(

@@ -480,10 +480,18 @@ class TestIqb:
         err = capsys.readouterr().err
         assert "'web'" in err and "'latency_ms'" in err
 
-    def test_trace_requires_out(self, data_dir, capsys):
-        rc = main(["iqb", "--data", str(data_dir), "--trace"])
+    def test_trace_requires_out(self, tmp_path, capsys):
+        # Rejected before any work: nothing built, cached or printed.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        rc = main(
+            ["iqb", "--trace", "--cache-dir", str(cache)] + self.ARGS
+        )
+        captured = capsys.readouterr()
         assert rc == 2
-        assert "--out" in capsys.readouterr().err
+        assert "iqb --trace needs --out" in captured.err
+        assert captured.out == ""
+        assert list(cache.iterdir()) == []
 
 
 class TestDagRun:
@@ -500,3 +508,48 @@ class TestDagRun:
         assert err.startswith("error: ")
         assert "'bogus'" in err
         assert ", ".join(fragment_keys()) in err
+
+    @pytest.mark.parametrize(
+        "experiments, message",
+        [
+            (["table9"], "unknown sweep experiment 'table9'"),
+            (["table1", "table1"], "'table1' is listed twice"),
+        ],
+    )
+    def test_sweep_shorthand_rejects_experiments_before_building(
+        self, tmp_path, capsys, experiments, message
+    ):
+        spec = tmp_path / "dag.json"
+        spec.write_text(json.dumps({
+            "pipeline": "sweep",
+            "config": {
+                "base": {"seed": 3, "n_dasu_users": 40, "n_fcc_users": 0,
+                         "days_per_year": 1.0},
+                "experiments": experiments,
+            },
+        }))
+        cache = tmp_path / "cache"
+        rc = main(["dag", "run", "--spec", str(spec), "--out",
+                   str(tmp_path / "out"), "--cache-dir", str(cache)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_sweep_cell_stage_rejects_repeated_experiment(
+        self, tmp_path, capsys
+    ):
+        spec = tmp_path / "dag.json"
+        spec.write_text(json.dumps({"stages": [
+            {"name": "cell", "kind": "sweep-cell", "config": {
+                "scenario": "baseline", "seed": 3,
+                "world": {"seed": 3, "n_dasu_users": 40, "n_fcc_users": 0,
+                          "days_per_year": 1.0},
+                "experiments": ["table1", "table1"],
+            }},
+        ]}))
+        cache = tmp_path / "cache"
+        rc = main(["dag", "run", "--spec", str(spec), "--out",
+                   str(tmp_path / "out"), "--cache-dir", str(cache)])
+        assert rc == 2
+        assert "'table1' is listed twice" in capsys.readouterr().err
+        assert not cache.exists()
