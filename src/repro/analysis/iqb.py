@@ -727,7 +727,6 @@ def iqb_experiment(
     experiments to the full use-case composite.
     """
     config = resolve_iqb_config(config)
-    users = list(users)
     return _iqb_experiment(
         users,
         UserColumns.from_records(users),
@@ -738,7 +737,7 @@ def iqb_experiment(
 
 
 def _iqb_experiment(
-    users: list[UserRecord],
+    users: Sequence[UserRecord],
     columns: UserColumns,
     config: IqbConfig,
     *,
@@ -836,7 +835,7 @@ def format_iqb_report(
 ) -> str:
     """The barometer block: population scores, markets, experiment."""
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else list(dasu)
+    dasu_records = None if isinstance(dasu, UserColumns) else dasu
     dasu_columns = (
         dasu
         if isinstance(dasu, UserColumns)
@@ -876,7 +875,7 @@ def format_iqb_report(
                 f"{100 * market.ready_ci.high:.1f}%]"
             )
         if dasu_records is None:
-            dasu_records = list(dasu_columns.iter_records())
+            dasu_records = dasu_columns.to_records()
         try:
             experiment = _iqb_experiment(dasu_records, dasu_columns, config)
         except AnalysisError as exc:
@@ -907,7 +906,7 @@ def iqb_payload(
     value serialize byte-identically.
     """
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else list(dasu)
+    dasu_records = None if isinstance(dasu, UserColumns) else dasu
     dasu_columns = (
         dasu
         if isinstance(dasu, UserColumns)
@@ -949,7 +948,7 @@ def iqb_payload(
         if fcc_columns.n_users:
             payload["fcc"] = population(fcc_columns)
     if dasu_records is None:
-        dasu_records = list(dasu_columns.iter_records())
+        dasu_records = dasu_columns.to_records()
     try:
         experiment = _iqb_experiment(dasu_records, dasu_columns, config)
     except AnalysisError as exc:

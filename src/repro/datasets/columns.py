@@ -27,11 +27,23 @@ Representation contract
   observation order (ascending ``start_day``), mirroring both the
   builder's append order and the CSV layout. :class:`UserColumns`
   validates this on first per-user access.
+* **Batched conversion.** :func:`records_to_rows` fills each field
+  with one assignment from a list of its values; records are rebuilt
+  from one ``tolist()`` per field over a batch of users
+  (:meth:`UserColumns.iter_records` streams the batches, so memory is
+  bounded by the batch size). The per-row reference the kernels are
+  held to lives in ``tests/datasets/per_row_columns.py``.
+* **No conversion back.** The records :meth:`UserColumns.to_records`
+  returns carry the columns they were read from, and
+  :meth:`UserColumns.from_records` returns those columns unchanged. A
+  copy, a slice or a pickle of the records is a plain tuple and
+  converts as usual.
 
 Strings are fixed-width UTF-8 bytes (``S``); widths are generous for
 every generator-produced value and conversion raises
 :class:`~repro.exceptions.DatasetError` rather than silently truncating
-third-party data.
+third-party data (the width is checked per value, before the batched
+assignment, which would truncate silently).
 """
 
 from __future__ import annotations
@@ -128,8 +140,30 @@ def _encode_str(value: str, field: str) -> bytes:
     return raw
 
 
-def _decode_str(value: bytes) -> str:
-    return value.decode("utf-8")
+#: Field groups of the batched kernels, in :data:`ROW_DTYPE` order.
+_USER_STRINGS = (
+    "user_id", "source", "country", "region", "development", "vantage",
+    "technology",
+)
+_USER_OPTIONALS = (
+    "price_of_access_usd", "upgrade_cost_usd_per_mbps", "plan_data_cap_gb",
+    "web_latency_ms", "ndt_2014_latency_ms",
+)
+_NETWORK_STRINGS = ("isp", "prefix", "city")
+_PERIOD_FLOATS = (
+    "start_day", "end_day", "capacity_mbps", "mean_mbps", "peak_mbps",
+    "mean_no_bt_mbps", "peak_no_bt_mbps",
+)
+_OBSERVATION_VALUES = (
+    "latency_ms", "loss_fraction", "capacity_up_mbps", "n_ndt_tests",
+    "n_usage_samples",
+)
+_OBSERVATION_OPTIONALS = ("hourly_mean_mbps", "mean_up_mbps", "peak_up_mbps")
+_NAN_HOURLY = (np.nan,) * 24
+
+#: Users per :func:`_record_from_rows` call in
+#: :meth:`UserColumns.iter_records`: the streaming memory bound.
+_RECORD_BATCH_USERS = 256
 
 
 def records_to_rows(users: Sequence[UserRecord]) -> np.ndarray:
@@ -137,145 +171,160 @@ def records_to_rows(users: Sequence[UserRecord]) -> np.ndarray:
 
     The inverse of :func:`rows_to_records`: every field (including the
     ``None``-ness of optional fields and NaNs inside hourly profiles)
-    round-trips exactly.
+    round-trips exactly. Each field is filled by one assignment from a
+    list of its values; user-level values repeat over the user's rows.
     """
-    n_rows = sum(len(u.observations) for u in users)
-    rows = np.zeros(n_rows, dtype=ROW_DTYPE)
-    start = 0
-    for user in users:
-        stop = start + len(user.observations)
-        block = rows[start:stop]
-        block["user_id"] = _encode_str(user.user_id, "user_id")
-        block["source"] = _encode_str(user.source, "source")
-        block["country"] = _encode_str(user.country, "country")
-        block["region"] = _encode_str(user.region, "region")
-        block["development"] = _encode_str(user.development, "development")
-        block["vantage"] = _encode_str(user.vantage, "vantage")
-        block["technology"] = _encode_str(user.technology, "technology")
-        block["bt_user"] = user.bt_user
-        _set_optional(block, "price_of_access_usd", user.price_of_access_usd)
-        _set_optional(
-            block, "upgrade_cost_usd_per_mbps", user.upgrade_cost_usd_per_mbps
+    counts = [len(u.observations) for u in users]
+    rows = np.zeros(sum(counts), dtype=ROW_DTYPE)
+    if not rows.size:
+        return rows
+
+    def per_user(field: str, values: list) -> None:
+        rows[field] = np.repeat(
+            np.asarray(values, dtype=ROW_DTYPE[field]), counts
         )
-        block["gdp_per_capita_usd"] = user.gdp_per_capita_usd
-        _set_optional(block, "plan_data_cap_gb", user.plan_data_cap_gb)
-        _set_optional(block, "web_latency_ms", user.web_latency_ms)
-        _set_optional(block, "ndt_2014_latency_ms", user.ndt_2014_latency_ms)
-        for offset, obs in enumerate(user.observations):
-            row = block[offset]
-            p = obs.period
-            row["isp"] = _encode_str(p.network.isp, "isp")
-            row["prefix"] = _encode_str(p.network.prefix, "prefix")
-            row["city"] = _encode_str(p.network.city, "city")
-            row["start_day"] = p.start_day
-            row["end_day"] = p.end_day
-            row["capacity_mbps"] = p.capacity_mbps
-            row["mean_mbps"] = p.mean_mbps
-            row["peak_mbps"] = p.peak_mbps
-            row["mean_no_bt_mbps"] = p.mean_no_bt_mbps
-            row["peak_no_bt_mbps"] = p.peak_no_bt_mbps
-            row["latency_ms"] = obs.latency_ms
-            row["loss_fraction"] = obs.loss_fraction
-            row["capacity_up_mbps"] = obs.capacity_up_mbps
-            row["n_ndt_tests"] = obs.n_ndt_tests
-            row["n_usage_samples"] = obs.n_usage_samples
-            if obs.hourly_mean_mbps is None:
-                row["hourly_mean_mbps"] = np.nan
-                row["has_hourly"] = False
-            else:
-                row["hourly_mean_mbps"] = obs.hourly_mean_mbps
-                row["has_hourly"] = True
-            _set_scalar_optional(row, "mean_up_mbps", obs.mean_up_mbps)
-            _set_scalar_optional(row, "peak_up_mbps", obs.peak_up_mbps)
-        start = stop
+
+    for field in _USER_STRINGS:
+        per_user(field, [_encode_str(getattr(u, field), field) for u in users])
+    per_user("bt_user", [u.bt_user for u in users])
+    per_user("gdp_per_capita_usd", [u.gdp_per_capita_usd for u in users])
+    for field in _USER_OPTIONALS:
+        values = [getattr(u, field) for u in users]
+        per_user(field, [np.nan if v is None else v for v in values])
+        per_user(OPTIONAL_FLAGS[field], [v is not None for v in values])
+
+    observations = [obs for u in users for obs in u.observations]
+    periods = [obs.period for obs in observations]
+    networks = [p.network for p in periods]
+    for field in _NETWORK_STRINGS:
+        rows[field] = [_encode_str(getattr(n, field), field) for n in networks]
+    for field in _PERIOD_FLOATS:
+        rows[field] = [getattr(p, field) for p in periods]
+    for field in _OBSERVATION_VALUES:
+        rows[field] = [getattr(obs, field) for obs in observations]
+    for field in _OBSERVATION_OPTIONALS:
+        values = [getattr(obs, field) for obs in observations]
+        absent = _NAN_HOURLY if field == "hourly_mean_mbps" else np.nan
+        rows[field] = [absent if v is None else v for v in values]
+        rows[OPTIONAL_FLAGS[field]] = [v is not None for v in values]
     return rows
 
 
-def _set_optional(block: np.ndarray, field: str, value: float | None) -> None:
-    flag = OPTIONAL_FLAGS[field]
-    if value is None:
-        block[field] = np.nan
-        block[flag] = False
-    else:
-        block[field] = value
-        block[flag] = True
+def _decoded(rows: np.ndarray, field: str) -> list[str]:
+    return [value.decode("utf-8") for value in rows[field].tolist()]
 
 
-def _set_scalar_optional(row, field: str, value: float | None) -> None:
-    flag = OPTIONAL_FLAGS[field]
-    if value is None:
-        row[field] = np.nan
-        row[flag] = False
-    else:
-        row[field] = value
-        row[flag] = True
-
-
-def _get_optional(row, field: str) -> float | None:
-    return float(row[field]) if bool(row[OPTIONAL_FLAGS[field]]) else None
-
-
-def _record_from_rows(block: np.ndarray) -> UserRecord:
-    """Rebuild one user's record from its contiguous row block."""
-    first = block[0]
-    observations = []
-    for row in block:
-        period = ServicePeriod(
-            user_id=_decode_str(first["user_id"]),
-            network=NetworkId(
-                isp=_decode_str(row["isp"]),
-                prefix=_decode_str(row["prefix"]),
-                city=_decode_str(row["city"]),
-            ),
-            start_day=float(row["start_day"]),
-            end_day=float(row["end_day"]),
-            capacity_mbps=float(row["capacity_mbps"]),
-            mean_mbps=float(row["mean_mbps"]),
-            peak_mbps=float(row["peak_mbps"]),
-            mean_no_bt_mbps=float(row["mean_no_bt_mbps"]),
-            peak_no_bt_mbps=float(row["peak_no_bt_mbps"]),
+def _optional(rows: np.ndarray, field: str) -> list:
+    return [
+        value if present else None
+        for value, present in zip(
+            rows[field].tolist(), rows[OPTIONAL_FLAGS[field]].tolist()
         )
-        hourly = None
-        if bool(row["has_hourly"]):
-            hourly = tuple(float(v) for v in row["hourly_mean_mbps"])
-        observations.append(
+    ]
+
+
+def _record_from_rows(block: np.ndarray, counts: np.ndarray) -> list[UserRecord]:
+    """Rebuild the records of a batch of users from their contiguous row
+    block (``counts`` rows per user, in order).
+
+    Every field is read with one ``tolist()`` over the block; user-level
+    fields come from each user's first row.
+    """
+    firsts = block[np.cumsum(counts) - counts]
+    user_ids = _decoded(firsts, "user_id")
+    isp, prefix, city = (_decoded(block, f) for f in _NETWORK_STRINGS)
+    start_day, end_day, capacity, mean, peak, mean_no_bt, peak_no_bt = (
+        block[f].tolist() for f in _PERIOD_FLOATS
+    )
+    latency, loss, capacity_up, n_ndt, n_samples = (
+        block[f].tolist() for f in _OBSERVATION_VALUES
+    )
+    hourly = [
+        None if values is None else tuple(values)
+        for values in _optional(block, "hourly_mean_mbps")
+    ]
+    mean_up = _optional(block, "mean_up_mbps")
+    peak_up = _optional(block, "peak_up_mbps")
+    source, country, region, development, vantage, technology = (
+        _decoded(firsts, f) for f in _USER_STRINGS[1:]
+    )
+    price, upgrade_cost, data_cap, web_latency, ndt_2014_latency = (
+        _optional(firsts, f) for f in _USER_OPTIONALS
+    )
+    bt_user = firsts["bt_user"].tolist()
+    gdp = firsts["gdp_per_capita_usd"].tolist()
+
+    records = []
+    stop = 0
+    for i, count in enumerate(counts.tolist()):
+        start, stop = stop, stop + count
+        user_id = user_ids[i]
+        observations = tuple(
             PeriodObservation(
-                period=period,
-                latency_ms=float(row["latency_ms"]),
-                loss_fraction=float(row["loss_fraction"]),
-                capacity_up_mbps=float(row["capacity_up_mbps"]),
-                n_ndt_tests=int(row["n_ndt_tests"]),
-                n_usage_samples=int(row["n_usage_samples"]),
-                hourly_mean_mbps=hourly,
-                mean_up_mbps=_get_optional(row, "mean_up_mbps"),
-                peak_up_mbps=_get_optional(row, "peak_up_mbps"),
+                period=ServicePeriod(
+                    user_id=user_id,
+                    network=NetworkId(isp=isp[r], prefix=prefix[r], city=city[r]),
+                    start_day=start_day[r],
+                    end_day=end_day[r],
+                    capacity_mbps=capacity[r],
+                    mean_mbps=mean[r],
+                    peak_mbps=peak[r],
+                    mean_no_bt_mbps=mean_no_bt[r],
+                    peak_no_bt_mbps=peak_no_bt[r],
+                ),
+                latency_ms=latency[r],
+                loss_fraction=loss[r],
+                capacity_up_mbps=capacity_up[r],
+                n_ndt_tests=n_ndt[r],
+                n_usage_samples=n_samples[r],
+                hourly_mean_mbps=hourly[r],
+                mean_up_mbps=mean_up[r],
+                peak_up_mbps=peak_up[r],
+            )
+            for r in range(start, stop)
+        )
+        records.append(
+            UserRecord(
+                user_id=user_id,
+                source=source[i],
+                country=country[i],
+                region=region[i],
+                development=development[i],
+                vantage=vantage[i],
+                technology=technology[i],
+                bt_user=bt_user[i],
+                observations=observations,
+                price_of_access_usd=price[i],
+                upgrade_cost_usd_per_mbps=upgrade_cost[i],
+                gdp_per_capita_usd=gdp[i],
+                plan_data_cap_gb=data_cap[i],
+                web_latency_ms=web_latency[i],
+                ndt_2014_latency_ms=ndt_2014_latency[i],
             )
         )
-    return UserRecord(
-        user_id=_decode_str(first["user_id"]),
-        source=_decode_str(first["source"]),
-        country=_decode_str(first["country"]),
-        region=_decode_str(first["region"]),
-        development=_decode_str(first["development"]),
-        vantage=_decode_str(first["vantage"]),
-        technology=_decode_str(first["technology"]),
-        bt_user=bool(first["bt_user"]),
-        observations=tuple(observations),
-        price_of_access_usd=_get_optional(first, "price_of_access_usd"),
-        upgrade_cost_usd_per_mbps=_get_optional(
-            first, "upgrade_cost_usd_per_mbps"
-        ),
-        gdp_per_capita_usd=float(first["gdp_per_capita_usd"]),
-        plan_data_cap_gb=_get_optional(first, "plan_data_cap_gb"),
-        web_latency_ms=_get_optional(first, "web_latency_ms"),
-        ndt_2014_latency_ms=_get_optional(first, "ndt_2014_latency_ms"),
-    )
+    return records
 
 
 def rows_to_records(rows: np.ndarray) -> list[UserRecord]:
     """Materialize records from a structured array (inverse of
     :func:`records_to_rows`)."""
     return list(UserColumns(rows).iter_records())
+
+
+class _ColumnRecords(tuple):
+    """Every record of a :class:`UserColumns`, in row order, remembering
+    the columns they were read from so that
+    :meth:`UserColumns.from_records` hands those back instead of
+    converting again. Pickles as a plain tuple: the columns stay
+    behind."""
+
+    def __new__(cls, columns: "UserColumns") -> "_ColumnRecords":
+        records = super().__new__(cls, columns.iter_records())
+        records.columns = columns
+        return records
+
+    def __reduce__(self):
+        return (tuple, (tuple(self),))
 
 
 class UserColumns:
@@ -310,6 +359,10 @@ class UserColumns:
 
     @classmethod
     def from_records(cls, users: Sequence[UserRecord]) -> "UserColumns":
+        """Columns holding ``users``; records read by :meth:`to_records`
+        return the columns they came from, unconverted."""
+        if isinstance(users, _ColumnRecords):
+            return users.columns
         return cls(records_to_rows(users))
 
     @classmethod
@@ -450,10 +503,18 @@ class UserColumns:
     # -- object views -----------------------------------------------------
 
     def iter_records(self) -> Iterator[UserRecord]:
-        """Stream one :class:`UserRecord` at a time (O(1 user) memory)."""
+        """Stream the records in row order, converting
+        ``_RECORD_BATCH_USERS`` users at a time (memory bounded by the
+        batch)."""
         starts, counts = self._index()
-        for start, count in zip(starts, counts):
-            yield _record_from_rows(self._rows[start : start + count])
+        for first in range(0, starts.size, _RECORD_BATCH_USERS):
+            batch = counts[first : first + _RECORD_BATCH_USERS]
+            start = int(starts[first])
+            yield from _record_from_rows(
+                self._rows[start : start + int(batch.sum())], batch
+            )
 
-    def to_records(self) -> list[UserRecord]:
-        return list(self.iter_records())
+    def to_records(self) -> tuple[UserRecord, ...]:
+        """Every record, as a tuple that remembers these columns (see
+        :meth:`from_records`)."""
+        return _ColumnRecords(self)

@@ -111,8 +111,8 @@ def write_users_csv(
     """Write user records (one row per service period); returns row count.
 
     Accepts either an object-path record sequence or a columnar dataset;
-    a columnar input streams one user at a time (O(1 user) memory) and
-    writes byte-identical text — f8 columns round-trip Python floats
+    a columnar input streams its records one batch of users at a time
+    (see :meth:`UserColumns.iter_records`) and writes byte-identical text — f8 columns round-trip Python floats
     exactly, so the shortest-repr rendering is unchanged.
     """
     path = Path(path)

@@ -465,9 +465,10 @@ def sanitize_columns(
 
     Streams one user at a time through the same per-user rules as
     :func:`sanitize_users` (value-identical kept set, counter-identical
-    report) while holding at most ``_SANITIZE_BATCH_USERS`` record
-    objects in memory; survivors are re-columnized batch by batch in
-    input order.
+    report) while holding at most ``_SANITIZE_BATCH_USERS`` survivors
+    plus one :meth:`~repro.datasets.columns.UserColumns.iter_records`
+    batch in memory; survivors are re-columnized batch by batch in input
+    order.
     """
     from .columns import UserColumns, records_to_rows
 

@@ -94,7 +94,14 @@ class _ColumnarDataset:
     UserColumns`; hand-assembled worlds (tests, synthetic fixtures)
     keep passing record tuples. ``users`` stays the compatibility
     surface — the long tail of analysis callers iterates it unchanged —
-    while hot paths read ``columns`` directly.
+    while hot paths read ``columns`` directly. Records read from the
+    columns remember them, so converting ``users`` back to columns
+    returns ``columns`` itself.
+
+    Two datasets are equal when their ``columns.rows`` are equal byte
+    for byte. That is NaN-safe (an hourly profile holds NaN for
+    uncovered hours, and NaN != NaN would make a dataset unequal to
+    itself) and needs no records.
     """
 
     __slots__ = ("_users", "_columns")
@@ -115,7 +122,7 @@ class _ColumnarDataset:
     @property
     def users(self) -> tuple[UserRecord, ...]:
         if self._users is None:
-            self._users = tuple(self._columns.iter_records())
+            self._users = self._columns.to_records()
         return self._users
 
     @property
@@ -135,7 +142,10 @@ class _ColumnarDataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _ColumnarDataset):
             return NotImplemented
-        return type(self) is type(other) and self.users == other.users
+        return (
+            type(self) is type(other)
+            and self.columns.rows.tobytes() == other.columns.rows.tobytes()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_users={self.n_users})"
@@ -162,7 +172,12 @@ class FccDataset(_ColumnarDataset):
 
 @dataclass(frozen=True)
 class World:
-    """A fully built synthetic world."""
+    """A fully built synthetic world.
+
+    Equality compares the datasets by their column rows, byte for byte,
+    so two loads of one cache entry compare equal even though their
+    hourly profiles hold NaN.
+    """
 
     config: WorldConfig
     profiles: Mapping[str, CountryProfile]

@@ -170,9 +170,11 @@ class ReportService:
         from ..analysis.iqb import iqb_payload
 
         world = result.artifact("world")
+        # The dasu records are the ones the fragments' world slice
+        # already read; they carry their columns, so nothing converts.
         iqb_json = (
             json.dumps(
-                iqb_payload(world.dasu.users, world.fcc.users),
+                iqb_payload(world.dasu.users, world.fcc.columns),
                 indent=2,
                 sort_keys=True,
             )

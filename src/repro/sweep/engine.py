@@ -199,8 +199,8 @@ def _run_cell(task: _CellTask) -> tuple[CellResult, bool]:
     result = CellResult(
         scenario=task.scenario,
         seed=task.seed,
-        n_dasu_users=len(world.dasu.users),
-        n_fcc_users=len(world.fcc.users),
+        n_dasu_users=world.dasu.n_users,
+        n_fcc_users=world.fcc.n_users,
         headline=_headline(world, task.iqb_config),
         verdicts=tuple(verdicts),
         skipped=tuple(skipped),
