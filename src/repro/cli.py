@@ -26,12 +26,13 @@ datasets in the same schema work too. The experiments ``analyze``,
 
 ``build`` and ``report`` consult an on-disk world cache keyed by the
 full configuration and package version (see
-:mod:`repro.datasets.cache`): rebuilding the same world is a copy, and
-``report`` without ``--data`` renders straight from the cache, skipping
-the build entirely. ``--no-cache`` forces a fresh build; ``--jobs N``
-shards both the build and the report's analysis fragments across N
-worker processes with byte-identical output; ``report --profile``
-prints per-fragment wall/CPU timings to stderr.
+:mod:`repro.datasets.cache`): rebuilding the same world is an export
+of the cached columns, and ``report`` without ``--data`` renders
+straight from the cache, skipping the build entirely. ``--no-cache``
+forces a fresh build; ``--jobs N`` shards both the build and the
+report's analysis fragments across N worker processes with
+byte-identical output; ``report --profile`` prints per-fragment
+wall/CPU timings to stderr.
 
 ``--faults {off,light,default,heavy}`` injects seeded measurement
 pathologies (host churn, dropped/duplicated samples, counter
@@ -143,22 +144,19 @@ def _build(args: argparse.Namespace) -> int:
     config = _world_config(args)
     cache = WorldCache(args.cache_dir)
     key = cache_key(config)
-    if not args.no_cache and cache.fetch_into(config, out):
-        # The entry's trace.jsonl (byte-identical to a fresh build's)
-        # rode along with the copy; only the manifest is recomputed.
+    cached = None if args.no_cache else cache.fetch_into(config, out)
+    if cached is not None:
         print(f"cache hit ({key[:12]}): reused cached world, "
               "skipping build")
         print(f"wrote cached dataset to {out}")
         if args.trace:
-            if not (out / "trace.jsonl").exists():
-                # Entry predates the ledger: no build events are
-                # recoverable, so the stream is empty rather than wrong.
-                (out / "trace.jsonl").write_text(RunLedger().to_jsonl())
-            write_manifest(
+            # An entry stored without a ledger has no recoverable build
+            # events, so its stream is empty rather than wrong.
+            _write_trace(
+                cached.ledger or RunLedger(),
                 run_manifest(config, command="build"),
-                out / "manifest.json",
+                out,
             )
-            print(f"trace written to {out / 'trace.jsonl'}", file=sys.stderr)
         return 0
     print(f"building world (seed={config.seed}, {config.n_dasu_users} "
           f"Dasu users, jobs={jobs})...", flush=True)

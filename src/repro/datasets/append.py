@@ -334,12 +334,11 @@ def _merge_columns(
     """Splice new per-country blocks into the base world's row order.
 
     A cold build lays dasu rows out by country in profile enumeration
-    order, users ascending within a country, then all fcc rows. Base
-    entries loaded through the CSV fallback are instead sorted by
-    ``user_id`` (alphabetical countries) — selecting each country's
-    block explicitly and concatenating in enumeration order yields the
-    canonical build order from either representation, because within a
-    country the zero-padded index makes both orders agree.
+    order, users ascending within a country, then all fcc rows. The
+    base world (built, or loaded from its cached shard) is already in
+    that order; selecting each country's block explicitly and following
+    it with that country's new users keeps the order canonical for the
+    extended world too.
     """
     base_columns = base.all_columns
     base_dasu = base_columns.select_users(base_columns.source_mask("dasu"))

@@ -8,17 +8,18 @@ the persisted datasets can be reused safely: the cache key is a SHA-256
 over every configuration field **plus the package version**, so any
 change to either the knobs or the generator code invalidates the entry.
 
-Each entry is a directory ``<root>/<key>/`` holding exactly the files
-the CLI's ``build`` command writes (``users.csv``, ``survey.csv``,
-``config.json``, plus the columnar ``users.npy`` shard and its
-``users.npy.json`` manifest), written atomically via a temp directory +
-rename. Corrupt or unreadable entries are treated as misses — the
-caller falls back to a clean build, never crashes.
+Each entry is a directory ``<root>/<key>/`` holding the columnar
+``users.npy`` shard, its ``users.npy.json`` manifest, ``survey.csv`` and
+``config.json`` (plus ``sanitization.json`` and the ``trace.jsonl``
+build ledger), written atomically via a temp directory + rename. Hits
+load through the memory-mapped shard; the manifest ties it to its
+schema version, row count and byte size. A missing, truncated, foreign
+or mismatched shard — like any other unreadable file — is a miss, and
+the caller falls back to a clean build, never crashes.
 
-Hits load through the memory-mapped ``users.npy`` when its manifest
-validates (row count, schema version, and the byte size of the CSV it
-was written beside); otherwise they fall back to parsing ``users.csv``,
-so pre-columnar or npy-damaged entries still hit.
+``users.csv`` is an export, not part of the entry:
+:meth:`WorldCache.fetch_into` renders it from the entry's columns, so a
+cache hit writes exactly the files a fresh ``build --out`` writes.
 
 Cached worlds carry **records only**: latent ground-truth users and raw
 traces are not persisted, so :func:`WorldCache.load` returns a
@@ -45,7 +46,7 @@ from ..core.staging import (
     sweep_stale_staging,
     touch_heartbeat,
 )
-from ..exceptions import ReproError
+from ..exceptions import DatasetError, ReproError
 from ..market.countries import build_profiles
 from ..market.survey import PlanSurvey
 from ..obs.ledger import RunLedger
@@ -55,14 +56,12 @@ from .io import (
     config_payload,
     read_config_json,
     read_survey_csv,
-    read_users_csv,
     read_users_npy,
     write_config_json,
     write_survey_csv,
     write_users_csv,
     write_users_npy,
 )
-from .records import UserRecord
 from .sanitize import SanitizationReport
 from .world import DasuDataset, FccDataset, World, WorldConfig
 
@@ -74,14 +73,17 @@ __all__ = [
     "payload_key",
 ]
 
-#: Bump when the on-disk entry layout changes (invalidates all entries).
+#: Hashed into every cache key, and so into run manifests and served
+#: ETags. Bump it only for a layout change an old entry could pass
+#: validation under; entries that fail validation are misses anyway.
 CACHE_FORMAT_VERSION = 1
 
-_ENTRY_FILES = ("users.csv", "survey.csv", "config.json")
-#: The columnar fast path: the same rows as ``users.csv``, loadable as
-#: an mmap, plus a manifest tying it to the CSV it was written beside.
+#: The columnar users shard, loadable as an mmap, and the manifest that
+#: ties it to its schema version, row count and byte size.
 _COLUMNS_FILE = "users.npy"
 _COLUMNS_META = "users.npy.json"
+#: Entry files a ``build --out`` directory carries byte for byte.
+_ENTRY_FILES = (_COLUMNS_FILE, "survey.csv", "config.json")
 #: Present only in entries built with ``config.sanitize`` enabled.
 _REPORT_FILE = "sanitization.json"
 #: The build-stage run ledger (see :mod:`repro.obs`), serialized as the
@@ -135,33 +137,6 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro" / "worlds"
 
 
-def _world_from_records(
-    config: WorldConfig,
-    users: list[UserRecord],
-    survey: PlanSurvey,
-    sanitization: SanitizationReport | None = None,
-    ledger: RunLedger | None = None,
-) -> World:
-    """Reassemble a records-only :class:`World` from persisted datasets."""
-    profiles = build_profiles(
-        np.random.default_rng([config.seed, 1]),
-        include_synthetic=config.include_synthetic_countries,
-    )
-    return World(
-        config=config,
-        profiles={p.name: p for p in profiles},
-        survey=survey,
-        dasu=DasuDataset(
-            users=tuple(u for u in users if u.source == "dasu")
-        ),
-        fcc=FccDataset(users=tuple(u for u in users if u.source == "fcc")),
-        ground_truth={},
-        traces={},
-        sanitization=sanitization,
-        ledger=ledger,
-    )
-
-
 def _world_from_columns(
     config: WorldConfig,
     columns: UserColumns,
@@ -192,6 +167,32 @@ def _world_from_columns(
     )
 
 
+def _read_shard(entry: Path) -> UserColumns:
+    """The entry's memory-mapped ``users.npy``, checked against its
+    manifest (schema version, byte size, row count).
+
+    Raises :class:`DatasetError` (or ``OSError``/``ValueError`` for an
+    unreadable manifest) on any disagreement, so a truncated, foreign or
+    swapped shard never serves rows. Entries stored beside a
+    ``users.csv`` carry no ``users_npy_bytes`` and fail here too; the
+    next store replaces them.
+    """
+    shard = entry / _COLUMNS_FILE
+    meta = json.loads((entry / _COLUMNS_META).read_text())
+    if (
+        not isinstance(meta, dict)
+        or meta.get("columns_format") != COLUMNS_FORMAT_VERSION
+        or meta.get("users_npy_bytes") != shard.stat().st_size
+    ):
+        raise DatasetError(f"{shard}: does not match {_COLUMNS_META}")
+    columns = read_users_npy(shard)
+    if columns.n_rows != meta.get("rows"):
+        raise DatasetError(
+            f"{shard}: row count does not match {_COLUMNS_META}"
+        )
+    return columns
+
+
 class WorldCache:
     """A directory of persisted worlds, one entry per cache key."""
 
@@ -219,6 +220,7 @@ class WorldCache:
             stored = read_config_json(entry / "config.json")
             if stored != config:
                 return None
+            columns = _read_shard(entry)
             survey = read_survey_csv(entry / "survey.csv")
             report = None
             if config.sanitize:
@@ -232,59 +234,30 @@ class WorldCache:
         except (ReproError, OSError, ValueError, KeyError, TypeError):
             # Unreadable, truncated, or schema-mismatched entry: a miss.
             return None
-        columns = self._load_columns(entry)
-        if columns is not None:
-            return _world_from_columns(config, columns, survey, report, ledger)
-        try:
-            users = read_users_csv(entry / "users.csv")
-        except (ReproError, OSError, ValueError, KeyError, TypeError):
-            return None
-        return _world_from_records(config, users, survey, report, ledger)
+        return _world_from_columns(config, columns, survey, report, ledger)
 
-    def _load_columns(self, entry: Path) -> UserColumns | None:
-        """The entry's memory-mapped columnar shard, or ``None`` if it
-        is absent or fails validation (fall back to the CSV).
+    def fetch_into(
+        self, config: WorldConfig, out_dir: str | Path
+    ) -> World | None:
+        """Export a validated entry into ``out_dir``; returns its world.
 
-        The manifest ties the shard to the CSV it was stored beside:
-        schema version, row count, and the CSV's byte size. A shard
-        whose CSV sibling changed underneath it (truncation, manual
-        edits) is rejected, so npy-vs-csv disagreement can never serve
-        stale rows.
+        Returns ``None`` on a miss (including corruption). ``out_dir``
+        receives exactly the files a fresh ``build --out`` writes, with
+        the same bytes: ``users.csv`` rendered from the entry's columns,
+        the rest copied. The build ledger stays behind — ``build
+        --trace`` writes it from the returned world, as a miss does.
         """
-        try:
-            meta = json.loads((entry / _COLUMNS_META).read_text())
-            if meta.get("columns_format") != COLUMNS_FORMAT_VERSION:
-                return None
-            csv_bytes = (entry / "users.csv").stat().st_size
-            if meta.get("users_csv_bytes") != csv_bytes:
-                return None
-            columns = read_users_npy(entry / _COLUMNS_FILE)
-            if columns.n_rows != meta.get("rows"):
-                return None
-        except (ReproError, OSError, ValueError, KeyError, TypeError):
+        world = self.load(config)
+        if world is None:
             return None
-        return columns
-
-    def fetch_into(self, config: WorldConfig, out_dir: str | Path) -> bool:
-        """Copy a validated entry's raw files into ``out_dir``.
-
-        Returns ``False`` on a miss (including corruption). The copies
-        are byte-identical to what a fresh ``build`` would have written.
-        """
-        if self.load(config) is None:
-            return False
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        write_users_csv(world.all_columns, out / "users.csv")
         entry = self.entry_dir(config)
         names = _ENTRY_FILES + ((_REPORT_FILE,) if config.sanitize else ())
-        if (entry / _TRACE_FILE).exists():
-            names = names + (_TRACE_FILE,)
-        for name in (_COLUMNS_FILE, _COLUMNS_META):
-            if (entry / name).exists():
-                names = names + (name,)
         for name in names:
             shutil.copyfile(entry / name, out / name)
-        return True
+        return world
 
     def store(self, world: World) -> Path | None:
         """Persist a world atomically; returns the entry path.
@@ -320,18 +293,14 @@ class WorldCache:
         )
         try:
             touch_heartbeat(staging)
-            columns = world.all_columns
-            n_rows = write_users_csv(columns, staging / "users.csv")
-            touch_heartbeat(staging)
-            write_users_npy(columns, staging / _COLUMNS_FILE)
+            shard = staging / _COLUMNS_FILE
+            n_rows = write_users_npy(world.all_columns, shard)
             (staging / _COLUMNS_META).write_text(
                 json.dumps(
                     {
                         "columns_format": COLUMNS_FORMAT_VERSION,
                         "rows": n_rows,
-                        "users_csv_bytes": (
-                            staging / "users.csv"
-                        ).stat().st_size,
+                        "users_npy_bytes": shard.stat().st_size,
                     },
                     indent=2,
                     sort_keys=True,

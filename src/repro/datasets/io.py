@@ -258,7 +258,9 @@ def write_users_npy(columns: UserColumns, path: str | Path) -> int:
     """Write a columnar users shard (``.npy``); returns the row count.
 
     The shard is the verbatim structured array — loading it back is an
-    mmap, not a parse. ``users.csv`` stays the golden interchange copy.
+    mmap, not a parse. World-cache entries store only the shard;
+    ``users.csv`` is the golden interchange copy that ``build --out``
+    exports beside it.
     """
     path = Path(path)
     with path.open("wb") as handle:

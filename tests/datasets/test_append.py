@@ -33,7 +33,6 @@ DELTA = AppendDelta(n_dasu_users=24, n_fcc_users=4)
 #: Every dataset file a cache entry persists (trace.jsonl is excluded
 #: from the byte-identity contract).
 ENTRY_FILES = (
-    "users.csv",
     "users.npy",
     "users.npy.json",
     "survey.csv",

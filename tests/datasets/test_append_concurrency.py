@@ -85,7 +85,7 @@ def test_concurrent_appends_never_serve_a_torn_world(tmp_path):
     append_world(BASE, delta_a, cache=reference)
     append_world(BASE, delta_b, cache=reference)
     expected = {
-        ext: (reference.entry_dir(ext) / "users.csv").read_bytes()
+        ext: (reference.entry_dir(ext) / "users.npy").read_bytes()
         for ext in (ext_a, ext_b)
     }
 
@@ -103,14 +103,14 @@ def test_concurrent_appends_never_serve_a_torn_world(tmp_path):
                 world = cache.load(ext)
                 if world is not None:
                     _assert_whole(world, ext)
-                    users_csv = cache.entry_dir(ext) / "users.csv"
-                    assert users_csv.read_bytes() == expected[ext]
+                    shard = cache.entry_dir(ext) / "users.npy"
+                    assert shard.read_bytes() == expected[ext]
     finally:
         for w in writers:
             stderr = w.communicate()[1]
             assert w.returncode == 0, stderr.decode()
     for ext in (ext_a, ext_b):
-        assert (cache.entry_dir(ext) / "users.csv").read_bytes() == expected[ext]
+        assert (cache.entry_dir(ext) / "users.npy").read_bytes() == expected[ext]
 
 
 def test_append_killed_mid_publish_then_resumed(tmp_path, monkeypatch):

@@ -54,7 +54,7 @@ _KILL_SCRIPT = textwrap.dedent(
         os.kill(os.getpid(), signal.SIGKILL)
 
     if kill_point == "first-file":
-        cache_mod.write_users_csv = die          # staging dir still empty
+        cache_mod.write_users_npy = die          # staging dir still empty
     elif kill_point == "mid-write":
         cache_mod.write_survey_csv = die         # users files written
     elif kill_point == "before-replace":

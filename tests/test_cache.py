@@ -11,8 +11,13 @@ from repro.cli import main
 from repro.datasets import WorldConfig, build_world
 from repro.datasets import cache as cache_module
 from repro.datasets.cache import WorldCache, build_or_load_world, cache_key
+from repro.datasets.io import write_users_csv
+from repro.faults import fault_profile
 
 TINY = WorldConfig(seed=21, n_dasu_users=30, n_fcc_users=8, days_per_year=1.0)
+DIRTY = dataclasses.replace(
+    TINY, faults=fault_profile("default"), sanitize=True
+)
 
 
 @pytest.fixture()
@@ -95,18 +100,21 @@ class TestWorldCache:
         other = dataclasses.replace(TINY, seed=22)
         assert cache.load(other) is None
 
-    def test_corrupt_users_csv_is_a_miss(self, cache):
+    def test_corrupt_users_npy_is_a_miss(self, cache):
+        # Same size as the real shard, so only the parse can catch it.
         world = build_world(TINY)
         entry = cache.store(world)
-        (entry / "users.csv").write_text("not,a,valid\nusers,file,at all\n")
+        size = (entry / "users.npy").stat().st_size
+        (entry / "users.npy").write_bytes(b"x" * size)
         assert cache.load(TINY) is None
-        assert not cache.fetch_into(TINY, entry.parent / "out")
+        assert cache.fetch_into(TINY, entry.parent / "out") is None
+        assert not (entry.parent / "out").exists()
 
-    def test_truncated_users_csv_is_a_miss(self, cache):
+    def test_truncated_users_npy_is_a_miss(self, cache):
         world = build_world(TINY)
         entry = cache.store(world)
-        raw = (entry / "users.csv").read_bytes()
-        (entry / "users.csv").write_bytes(raw[: len(raw) // 2])
+        raw = (entry / "users.npy").read_bytes()
+        (entry / "users.npy").write_bytes(raw[: len(raw) // 2])
         assert cache.load(TINY) is None
 
     def test_missing_survey_is_a_miss(self, cache):
@@ -127,12 +135,14 @@ class TestWorldCache:
         assert cache.load(config) is None
 
     def test_fetch_into_copies_raw_files(self, cache, tmp_path):
-        world = build_world(TINY)
-        entry = cache.store(world)
+        entry = cache.store(build_world(TINY))
         out = tmp_path / "fetched"
-        assert cache.fetch_into(TINY, out)
-        for name in ("users.csv", "survey.csv", "config.json"):
+        assert cache.fetch_into(TINY, out) is not None
+        for name in ("users.npy", "survey.csv", "config.json"):
             assert (out / name).read_bytes() == (entry / name).read_bytes()
+        # users.csv is rendered, not copied: see
+        # TestColumnarShard.test_exported_csv_matches_fresh_build.
+        assert (out / "users.csv").exists()
 
     def test_trace_round_trips_through_cache(self, cache):
         # The build ledger is stored as trace.jsonl next to the datasets
@@ -145,13 +155,16 @@ class TestWorldCache:
         assert cached.ledger is not None
         assert cached.ledger.to_jsonl() == stored
 
-    def test_fetch_into_copies_trace(self, cache, tmp_path):
+    def test_fetch_into_returns_entry_ledger(self, cache, tmp_path):
+        # The ledger comes back with the world; ``build --trace`` writes
+        # it, so a plain export carries no trace.jsonl (nor does a miss).
         entry = cache.store(build_world(TINY))
         out = tmp_path / "fetched-trace"
-        assert cache.fetch_into(TINY, out)
-        assert (out / "trace.jsonl").read_bytes() == (
+        fetched = cache.fetch_into(TINY, out)
+        assert fetched.ledger.to_jsonl() == (
             entry / "trace.jsonl"
-        ).read_bytes()
+        ).read_text()
+        assert not (out / "trace.jsonl").exists()
 
     def test_entry_without_trace_still_hits(self, cache):
         # Entries written before the ledger existed (or hand-pruned)
@@ -187,7 +200,7 @@ class TestBuildOrLoad:
     def test_corrupt_entry_falls_back_to_clean_build(self, cache):
         build_or_load_world(TINY, cache=cache)
         entry = cache.entry_dir(TINY)
-        (entry / "users.csv").write_text("garbage")
+        (entry / "users.npy").write_text("garbage")
         world, from_cache = build_or_load_world(TINY, cache=cache)
         assert not from_cache
         assert world.all_users
@@ -218,6 +231,44 @@ class TestCliCache:
             == (tmp_path / "w2" / "users.csv").read_bytes()
         )
 
+    @pytest.mark.parametrize(
+        "extra",
+        [(), ("--faults", "default", "--sanitize", "--trace")],
+        ids=["plain", "dirty-traced"],
+    )
+    def test_hit_writes_the_files_a_miss_writes(self, tmp_path, extra):
+        # Same names, same bytes: nothing cache-internal leaks out.
+        cache_dir = tmp_path / "cache"
+        miss, hit = tmp_path / "miss", tmp_path / "hit"
+        assert self._build(miss, cache_dir, *extra) == 0
+        assert self._build(hit, cache_dir, *extra) == 0
+        names = sorted(p.name for p in miss.iterdir())
+        assert sorted(p.name for p in hit.iterdir()) == names
+        for name in names:
+            assert (hit / name).read_bytes() == (miss / name).read_bytes()
+        (entry,) = [
+            p for p in cache_dir.iterdir() if not p.name.startswith(".")
+        ]
+        assert not (entry / "users.csv").exists()
+
+    def test_traced_hit_on_entry_without_ledger(self, tmp_path, capsys):
+        # Appended entries carry no trace.jsonl: a traced hit writes an
+        # empty stream rather than none or a wrong one.
+        from repro.obs.ledger import RunLedger
+
+        cache_dir = tmp_path / "cache"
+        assert self._build(tmp_path / "w1", cache_dir) == 0
+        (entry,) = [
+            p for p in cache_dir.iterdir() if not p.name.startswith(".")
+        ]
+        (entry / "trace.jsonl").unlink()
+        assert self._build(tmp_path / "w2", cache_dir, "--trace") == 0
+        assert "cache hit" in capsys.readouterr().out
+        assert (tmp_path / "w2" / "trace.jsonl").read_text() == (
+            RunLedger().to_jsonl()
+        )
+        assert (tmp_path / "w2" / "manifest.json").exists()
+
     def test_no_cache_forces_rebuild(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert self._build(tmp_path / "w1", cache_dir) == 0
@@ -235,11 +286,14 @@ class TestCliCache:
             p for p in cache_dir.iterdir() if not p.name.startswith(".")
         ]
         assert len(entries) == 1
-        (entries[0] / "users.csv").write_text("corrupted beyond repair")
+        (entries[0] / "users.npy").write_text("corrupted beyond repair")
         assert self._build(tmp_path / "w2", cache_dir) == 0
         out = capsys.readouterr().out
         assert "building world" in out
-        assert (tmp_path / "w2" / "users.csv").exists()
+        assert (
+            (tmp_path / "w1" / "users.csv").read_bytes()
+            == (tmp_path / "w2" / "users.csv").read_bytes()
+        )
 
     def test_report_from_cache_skips_build(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -266,12 +320,12 @@ class TestStoreRace:
     def test_lost_race_returns_existing_entry(self, cache):
         world = build_world(TINY)
         first = cache.store(world)
-        before = (first / "users.csv").read_bytes()
+        before = (first / "users.npy").read_bytes()
         # A second store finds the entry path occupied by a valid,
         # equivalent entry: keep it, discard the staging copy.
         second = cache.store(world)
         assert second == first
-        assert (first / "users.csv").read_bytes() == before
+        assert (first / "users.npy").read_bytes() == before
         assert cache.load(TINY) is not None
         assert not list(cache.root.glob(".staging-*"))
 
@@ -327,36 +381,95 @@ class TestCacheKeyCanonicalization:
 
 
 class TestColumnarShard:
-    """The ``users.npy`` fast path: valid shards load without CSV
-    parsing; anything suspect falls back to the CSV byte-for-byte."""
+    """Entries are the ``users.npy`` shard: valid shards load as an
+    mmap, anything suspect is a miss, and ``users.csv`` exists only as
+    an export rendered from the columns."""
 
     def test_entry_carries_npy_and_manifest(self, cache):
-        entry = cache.store(build_world(TINY))
-        assert (entry / "users.npy").exists()
-        meta = json.loads((entry / "users.npy.json").read_text())
-        assert meta["users_csv_bytes"] == (entry / "users.csv").stat().st_size
-
-    def test_corrupt_npy_falls_back_to_csv(self, cache):
         world = build_world(TINY)
         entry = cache.store(world)
-        (entry / "users.npy").write_bytes(b"\x93NUMPY garbage")
-        cached = cache.load(TINY)
-        assert cached is not None
-        assert sorted(u.user_id for u in cached.all_users) == sorted(
+        meta = json.loads((entry / "users.npy.json").read_text())
+        assert meta["users_npy_bytes"] == (entry / "users.npy").stat().st_size
+        assert meta["rows"] == world.all_columns.n_rows
+        assert "users_csv_bytes" not in meta
+        assert not (entry / "users.csv").exists()
+
+    def test_foreign_npy_is_a_miss_then_rebuilt(self, cache):
+        import numpy as np
+
+        world = build_world(TINY)
+        entry = cache.store(world)
+        # A well-formed array of the wrong schema, with a manifest that
+        # matches its size: only the dtype check can reject it.
+        np.save(entry / "users.npy", np.zeros(world.all_columns.n_rows))
+        meta = json.loads((entry / "users.npy.json").read_text())
+        meta["users_npy_bytes"] = (entry / "users.npy").stat().st_size
+        (entry / "users.npy.json").write_text(json.dumps(meta))
+        assert cache.load(TINY) is None
+        rebuilt, from_cache = build_or_load_world(TINY, cache=cache)
+        assert not from_cache
+        assert cache.load(TINY) is not None
+        assert sorted(u.user_id for u in rebuilt.all_users) == sorted(
             u.user_id for u in world.all_users
         )
 
-    def test_stale_manifest_falls_back_to_csv(self, cache):
+    def test_stale_manifest_is_a_miss(self, cache):
         entry = cache.store(build_world(TINY))
-        meta = json.loads((entry / "users.npy.json").read_text())
-        meta["rows"] = meta["rows"] + 1
-        (entry / "users.npy.json").write_text(json.dumps(meta))
+        good = json.loads((entry / "users.npy.json").read_text())
+        for key, value in (
+            ("rows", good["rows"] + 1),
+            ("users_npy_bytes", good["users_npy_bytes"] + 1),
+            ("columns_format", good["columns_format"] + 1),
+        ):
+            (entry / "users.npy.json").write_text(
+                json.dumps({**good, key: value})
+            )
+            assert cache.load(TINY) is None, key
+        (entry / "users.npy.json").write_text("[]")
+        assert cache.load(TINY) is None
+        _, from_cache = build_or_load_world(TINY, cache=cache)
+        assert not from_cache
         assert cache.load(TINY) is not None
+
+    def test_csv_layout_entry_is_replaced_in_place(self, cache):
+        # The earlier layout stored users.csv beside the shard, and its
+        # manifest tied the shard to the CSV's size instead of its own.
+        world = build_world(TINY)
+        entry = cache.store(world)
+        write_users_csv(world.all_columns, entry / "users.csv")
+        (entry / "users.npy.json").write_text(
+            json.dumps(
+                {
+                    "columns_format": 1,
+                    "rows": world.all_columns.n_rows,
+                    "users_csv_bytes": (entry / "users.csv").stat().st_size,
+                }
+            )
+        )
+        assert cache.load(TINY) is None
+        assert cache.store(world) == entry
+        assert cache.load(TINY) is not None
+        assert not (entry / "users.csv").exists()
+        assert not list(cache.root.glob(".staging-*"))
 
     def test_fetch_into_copies_columnar_shard(self, cache, tmp_path):
         entry = cache.store(build_world(TINY))
         out = tmp_path / "out"
         out.mkdir()
-        assert cache.fetch_into(TINY, out)
-        for name in ("users.npy", "users.npy.json"):
-            assert (out / name).read_bytes() == (entry / name).read_bytes()
+        assert cache.fetch_into(TINY, out) is not None
+        assert (out / "users.npy").read_bytes() == (
+            entry / "users.npy"
+        ).read_bytes()
+        # The manifest is cache-internal: a fresh build never writes it.
+        assert not (out / "users.npy.json").exists()
+
+    @pytest.mark.parametrize("config", [TINY, DIRTY], ids=["plain", "dirty"])
+    def test_exported_csv_matches_fresh_build(self, tmp_path, config):
+        fresh = build_world(config)
+        cache = WorldCache(tmp_path / "worlds")
+        cache.store(fresh)
+        assert cache.fetch_into(config, tmp_path / "out") is not None
+        write_users_csv(fresh.all_columns, tmp_path / "fresh.csv")
+        assert (tmp_path / "out" / "users.csv").read_bytes() == (
+            tmp_path / "fresh.csv"
+        ).read_bytes()
