@@ -40,18 +40,21 @@ def paper_world() -> World:
         PAPER_WORLD_CONFIG, jobs=os.cpu_count() or 1
     )
     source = "cache" if from_cache else "fresh build"
-    print(f"\npaper world ready ({source}, {len(world.all_users)} users)")
+    n_users = world.dasu.n_users + world.fcc.n_users
+    print(f"\npaper world ready ({source}, {n_users} users)")
     return world
 
 
 @pytest.fixture(scope="session")
 def dasu_users(paper_world: World):
-    return paper_world.dasu.users
+    """The paper world's Dasu panel, as the analyses read it (columns)."""
+    return paper_world.dasu.columns
 
 
 @pytest.fixture(scope="session")
 def fcc_users(paper_world: World):
-    return paper_world.fcc.users
+    """The paper world's FCC panel, as the analyses read it (columns)."""
+    return paper_world.fcc.columns
 
 
 def emit(title: str, lines) -> None:

@@ -90,7 +90,7 @@ def run_report(args: argparse.Namespace, results: dict) -> None:
         )
     results["load_s"] = round(time.perf_counter() - started, 2)
     started = time.perf_counter()
-    text = full_report(world.dasu.users, world.fcc.users, world.survey)
+    text = full_report(world.dasu.columns, world.fcc.columns, world.survey)
     results["report_s"] = round(time.perf_counter() - started, 2)
     results["report_lines"] = text.count("\n") + 1
 

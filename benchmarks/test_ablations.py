@@ -50,8 +50,9 @@ def no_quality_world():
 
 def test_ablation_caliper_width(benchmark, dasu_users):
     """Tighter calipers: fewer pairs, same direction."""
-    low = [u for u in dasu_users if 0.8 < u.capacity_down_mbps <= 3.2]
-    high = [u for u in dasu_users if 3.2 < u.capacity_down_mbps <= 12.8]
+    capacity = dasu_users.capacity_down_mbps
+    low = dasu_users.select_users((0.8 < capacity) & (capacity <= 3.2))
+    high = dasu_users.select_users((3.2 < capacity) & (capacity <= 12.8))
 
     def sweep():
         results = {}
@@ -115,8 +116,8 @@ def test_ablation_price_selection_off(
     """
 
     def both():
-        ablated = table3(no_selection_world.dasu.users)
-        baseline = table3(baseline_world.dasu.users)
+        ablated = table3(no_selection_world.dasu.columns)
+        baseline = table3(baseline_world.dasu.columns)
         return baseline, ablated
 
     baseline, ablated = benchmark.pedantic(both, rounds=1, iterations=1)
@@ -145,8 +146,8 @@ def test_ablation_quality_suppression_off(
     """Without QoE suppression, India's demand deficit disappears."""
 
     def india_shares():
-        base = figure11(baseline_world.dasu.users)
-        ablated = figure11(no_quality_world.dasu.users)
+        base = figure11(baseline_world.dasu.columns)
+        ablated = figure11(no_quality_world.dasu.columns)
         return base.india_lower_demand_share, ablated.india_lower_demand_share
 
     base_share, ablated_share = benchmark.pedantic(
@@ -170,7 +171,7 @@ def test_ablation_sampling_bias(benchmark, paper_world):
 
     result = benchmark.pedantic(
         figure3,
-        args=(paper_world.dasu.users, paper_world.fcc.users),
+        args=(paper_world.dasu.columns, paper_world.fcc.columns),
         rounds=2,
         iterations=1,
     )

@@ -23,15 +23,22 @@ from repro.datasets import WorldConfig, build_world
 from conftest import emit
 
 
-def test_extension_qed_vs_natural_experiment(benchmark, dasu_users):
-    low = [u for u in dasu_users if 0.8 < u.capacity_down_mbps <= 3.2]
-    high = [u for u in dasu_users if 3.2 < u.capacity_down_mbps <= 12.8]
+def test_extension_qed_vs_natural_experiment(benchmark, paper_world):
+    columns = paper_world.dasu.columns
+    capacity = columns.capacity_down_mbps
+    in_low = (0.8 < capacity) & (capacity <= 3.2)
+    in_high = (3.2 < capacity) & (capacity <= 12.8)
+    # The QED stratifies record objects; the natural experiment reads
+    # the same two pools as columns.
+    records = paper_world.dasu.users
+    low = [u for u, keep in zip(records, in_low) if keep]
+    high = [u for u, keep in zip(records, in_high) if keep]
 
     def run_both():
         natural = matched_experiment(
             "natural",
-            low,
-            high,
+            columns.select_users(in_low),
+            columns.select_users(in_high),
             confounders=("latency", "loss", "price_of_access"),
             outcome=demand_outcome("peak", include_bt=False),
         )
@@ -128,8 +135,8 @@ def test_extension_diurnal_profiles(benchmark, paper_world):
 
     def both():
         return (
-            population_diurnal_profile(paper_world.dasu.users),
-            population_diurnal_profile(paper_world.fcc.users),
+            population_diurnal_profile(paper_world.dasu.columns),
+            population_diurnal_profile(paper_world.fcc.columns),
         )
 
     dasu, fcc = benchmark.pedantic(both, rounds=2, iterations=1)
@@ -161,7 +168,7 @@ def test_extension_seed_robustness(benchmark):
     )
 
     def stat(world):
-        result = table1(world.dasu.users)
+        result = table1(world.dasu.columns)
         return result.peak.fraction_holds, result.peak.n_pairs
 
     sweep = benchmark.pedantic(

@@ -33,8 +33,8 @@ _MIN_SPEEDUP = 1.8
 )
 def test_parallel_report_speedup(paper_world):
     dasu, fcc, survey = (
-        paper_world.dasu.users,
-        paper_world.fcc.users,
+        paper_world.dasu.columns,
+        paper_world.fcc.columns,
         paper_world.survey,
     )
 

@@ -17,7 +17,7 @@ from conftest import emit
 def test_table4_case_study(benchmark, paper_world):
     result = benchmark.pedantic(
         table4,
-        args=(paper_world.dasu.users, paper_world.survey),
+        args=(paper_world.dasu.columns, paper_world.survey),
         rounds=3,
         iterations=1,
     )

@@ -31,7 +31,7 @@ def main() -> None:
                          days_per_year=1.5)
     print("Building world...\n")
     world = build_world(config)
-    users = world.dasu.users
+    users = world.dasu.columns
 
     # 1. User categories (future work of Sec. 10).
     segmentation = segment_users(users)
@@ -57,20 +57,25 @@ def main() -> None:
 
     # 4. Diurnal profiles per collection channel.
     dasu_profile = population_diurnal_profile(users)
-    fcc_profile = population_diurnal_profile(world.fcc.users)
+    fcc_profile = population_diurnal_profile(world.fcc.columns)
     print(f"\nDiurnal shape: peak {dasu_profile.peak_hour}:00, trough "
           f"{dasu_profile.trough_hour}:00; Dasu evening/night coverage "
           f"bias {dasu_profile.coverage_bias():.2f} vs FCC "
           f"{fcc_profile.coverage_bias():.2f}")
 
     # 5. QED vs natural experiment on the same question.
-    low = [u for u in users if 0.8 < u.capacity_down_mbps <= 3.2]
-    high = [u for u in users if 3.2 < u.capacity_down_mbps <= 12.8]
+    capacity = users.capacity_down_mbps
+    in_low = (0.8 < capacity) & (capacity <= 3.2)
+    in_high = (3.2 < capacity) & (capacity <= 12.8)
     natural = matched_experiment(
-        "natural", low, high,
+        "natural", users.select_users(in_low), users.select_users(in_high),
         confounders=("latency", "loss", "price_of_access"),
         outcome=demand_outcome("peak", include_bt=False),
     )
+    # The QED stratifies record objects: the same two pools as records.
+    records = world.dasu.users
+    low = [u for u, keep in zip(records, in_low) if keep]
+    high = [u for u, keep in zip(records, in_high) if keep]
     qed = QuasiExperiment(
         "qed",
         [lambda u: u.latency_ms, lambda u: max(u.loss_fraction, 1e-4)],

@@ -18,12 +18,11 @@ from repro.core.experiments import NaturalExperiment, PairedOutcome
 
 def custom_matched_experiment(users) -> None:
     """A question the paper never asked, answered with its machinery."""
-    non_bt = [u for u in users if not u.bt_user]
-    bt = [u for u in users if u.bt_user]
+    bt_user = users.current("bt_user")
     result = matched_experiment(
         "BT households vs non-BT households",
-        control=non_bt,
-        treatment=bt,
+        control=users.select_users(~bt_user),
+        treatment=users.select_users(bt_user),
         confounders=("capacity", "latency", "loss", "price_of_access"),
         outcome=demand_outcome("peak", include_bt=False),
         hypothesis="BitTorrent households are heavier users overall",
@@ -53,8 +52,9 @@ def hand_rolled_sign_test() -> None:
 
 def caliper_sensitivity(users) -> None:
     """How the caliper trades pair volume for comparison quality."""
-    low = [u for u in users if 1.6 < u.capacity_down_mbps <= 6.4]
-    high = [u for u in users if 6.4 < u.capacity_down_mbps <= 25.6]
+    capacity = users.capacity_down_mbps
+    low = users.select_users((1.6 < capacity) & (capacity <= 6.4))
+    high = users.select_users((6.4 < capacity) & (capacity <= 25.6))
     print("Caliper sensitivity on a capacity comparison:")
     for caliper in (0.10, 0.25, 0.50):
         result = matched_experiment(
@@ -76,7 +76,7 @@ def main() -> None:
                          days_per_year=1.0)
     print("Building world...\n")
     world = build_world(config)
-    users = world.dasu.users
+    users = world.dasu.columns
     custom_matched_experiment(users)
     hand_rolled_sign_test()
     caliper_sensitivity(users)

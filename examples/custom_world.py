@@ -112,7 +112,7 @@ def export_dataset() -> None:
                          days_per_year=1.0)
     world = build_world(config)
     out = Path(tempfile.mkdtemp(prefix="repro-dataset-"))
-    n_rows = write_users_csv(world.all_users, out / "users.csv")
+    n_rows = write_users_csv(world.all_columns, out / "users.csv")
     n_plans = write_plans_csv(world.survey, out / "plans.csv")
     write_config_json(config, out / "config.json")
     print(f"exported {n_rows} user-period rows and {n_plans} plans to {out}")

@@ -21,7 +21,7 @@ def main() -> None:
                          days_per_year=1.5)
     print("Building world (this takes a little while)...")
     world = build_world(config)
-    users = world.dasu.users
+    users = world.dasu.columns
 
     # Table 4: the typical price of broadband.
     t4 = price.table4(users, world.survey)

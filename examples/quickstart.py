@@ -21,10 +21,10 @@ def main() -> None:
     print(f"Building world (seed={config.seed}, "
           f"{config.n_dasu_users} Dasu users)...")
     world = build_world(config)
-    users = world.dasu.users
-    print(f"  -> {len(users)} Dasu users across "
-          f"{len(world.dasu.countries)} countries, "
-          f"{len(world.fcc.users)} FCC gateways, "
+    users = world.dasu.columns
+    print(f"  -> {users.n_users} Dasu users across "
+          f"{len(set(users.current('country')))} countries, "
+          f"{world.fcc.n_users} FCC gateways, "
           f"{world.survey.n_plans} retail plans\n")
 
     # 1. What do the connections look like? (Fig. 1)

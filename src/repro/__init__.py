@@ -12,7 +12,8 @@ The package has two halves:
 * the **analysis toolkit** that reproduces the paper's methodology —
   capacity classes, demand metrics, nearest-neighbor matching with a
   caliper, one-tailed binomial natural experiments (:mod:`repro.core`)
-  and one entry point per paper table/figure (:mod:`repro.analysis`).
+  and one entry point per paper table/figure (:mod:`repro.analysis`),
+  each reading a dataset's user columns.
 
 Quickstart::
 
@@ -20,7 +21,7 @@ Quickstart::
     from repro.analysis import capacity
 
     world = build_world(WorldConfig(n_dasu_users=2000, n_fcc_users=400))
-    result = capacity.table1(world.dasu.users)
+    result = capacity.table1(world.dasu.columns)
     print(result.peak.row())
 """
 

@@ -19,10 +19,16 @@ import numpy as np
 from ..core.binning import UPGRADE_TIERS_MBPS, Bin, capacity_class_spec, explicit_bins
 from ..core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
 from ..core.stats import ConfidenceInterval, ecdf, mean_confidence_interval, percentile
-from ..core.upgrades import UpgradeObservation, slow_fast_observation
-from ..datasets.records import UserRecord
+from ..core.upgrades import UpgradeObservation, slow_fast_stays
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
-from .common import BinnedCurve, MatchedExperimentResult, binned_demand_curve, matched_experiment
+from .common import (
+    BinnedCurve,
+    MatchedExperimentResult,
+    binned_demand_curve,
+    demand_outcome,
+    matched_experiment,
+)
 
 __all__ = [
     "Figure2Result",
@@ -100,7 +106,7 @@ class Figure2Result:
         return utilization_falls and self.demand_elasticity() < elasticity_threshold
 
 
-def figure2(users: Sequence[UserRecord]) -> Figure2Result:
+def figure2(users: UserColumns) -> Figure2Result:
     """Compute the four usage-vs-capacity panels of Fig. 2."""
     return Figure2Result(
         mean_with_bt=binned_demand_curve(users, "mean", include_bt=True),
@@ -141,12 +147,10 @@ class Figure3Result:
         return self._ratio(self.fcc_peak, self.dasu_us_peak)
 
 
-def figure3(
-    dasu_users: Sequence[UserRecord], fcc_users: Sequence[UserRecord]
-) -> Figure3Result:
+def figure3(dasu_users: UserColumns, fcc_users: UserColumns) -> Figure3Result:
     """Compare FCC gateway users with US Dasu users (Fig. 3)."""
-    dasu_us = [u for u in dasu_users if u.country == "US"]
-    if not dasu_us or not fcc_users:
+    dasu_us = dasu_users.select_users(dasu_users.country_mask("US"))
+    if dasu_us.n_users == 0 or fcc_users.n_users == 0:
         raise AnalysisError("figure 3 needs both US Dasu and FCC users")
     return Figure3Result(
         fcc_mean=binned_demand_curve(fcc_users, "mean", include_bt=True),
@@ -161,15 +165,28 @@ def figure3(
 # ---------------------------------------------------------------------------
 
 
-def upgrade_observations(
-    users: Sequence[UserRecord],
-) -> list[UpgradeObservation]:
-    """Each user's slow-vs-fast network observation, where one exists."""
+def upgrade_observations(users: UserColumns) -> list[UpgradeObservation]:
+    """Each user's slow-vs-fast network observation, where one exists
+    (see :func:`~repro.core.upgrades.slow_fast_stays`); service periods
+    are built only for the stays of the users that qualify."""
+    rows = users.rows
+    capacity = rows["capacity_mbps"].tolist()
+    network = list(zip(*(rows[f].tolist() for f in ("isp", "prefix", "city"))))
     observations = []
-    for user in users:
-        obs = slow_fast_observation(user.periods)
-        if obs is not None:
-            observations.append(obs)
+    for start, count in zip(users.user_starts.tolist(), users.user_counts.tolist()):
+        stop = start + count
+        pair = slow_fast_stays(capacity[start:stop], network[start:stop])
+        if pair is None:
+            continue
+        slow, fast = start + pair[0], start + pair[1]
+        slow_period = users.service_period(slow)
+        observations.append(
+            UpgradeObservation(
+                user_id=slow_period.user_id,
+                slow=slow_period,
+                fast=users.service_period(fast),
+            )
+        )
     return observations
 
 
@@ -189,7 +206,7 @@ class Table1Result:
         ]
 
 
-def table1(users: Sequence[UserRecord], include_bt: bool = False) -> Table1Result:
+def table1(users: UserColumns, include_bt: bool = False) -> Table1Result:
     """Test whether individual users' demand rises on faster networks.
 
     Control is the user's own behavior on the slower network, treatment
@@ -244,7 +261,7 @@ class Figure4Result:
         return self.median_fast_peak_mbps / self.median_slow_peak_mbps
 
 
-def figure4(users: Sequence[UserRecord]) -> Figure4Result:
+def figure4(users: UserColumns) -> Figure4Result:
     """Slow-vs-fast network usage distributions (Fig. 4)."""
     observations = upgrade_observations(users)
     if not observations:
@@ -313,7 +330,7 @@ class Figure5Result:
 
 
 def figure5(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "peak",
     include_bt: bool = False,
     min_switches: int = 3,
@@ -390,7 +407,7 @@ _TABLE2_CONFOUNDERS = ("latency", "loss", "price_of_access", "upgrade_cost")
 
 
 def table2(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     dataset: str,
     metric: str = "peak",
     include_bt: bool = False,
@@ -404,16 +421,17 @@ def table2(
     and market confounders.
     """
     spec = capacity_class_spec()
-    grouped = spec.group((u.capacity_down_mbps, u) for u in users)
-    from .common import demand_outcome  # local to avoid cycle at import
-
+    classes = spec.index_of_array(users.capacity_down_mbps)
     outcome = demand_outcome(metric, include_bt)
     rows: list[Table2Row] = []
     for k in range(len(spec) - 1):
         control_bin, treatment_bin = spec[k], spec[k + 1]
-        control = grouped.get(control_bin, [])
-        treatment = grouped.get(treatment_bin, [])
-        if len(control) < min_group_users or len(treatment) < min_group_users:
+        control = users.select_users(classes == k)
+        treatment = users.select_users(classes == k + 1)
+        if (
+            control.n_users < min_group_users
+            or treatment.n_users < min_group_users
+        ):
             continue
         name = f"{control_bin.label()} vs {treatment_bin.label()}"
         result = matched_experiment(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from .common import MatchedExperimentResult, demand_outcome, matched_experiment
 
@@ -41,7 +41,7 @@ class CapsResult:
 
 
 def caps_experiment(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "mean",
     include_bt: bool = True,
     tight_cap_gb: float = TIGHT_CAP_GB,
@@ -55,20 +55,12 @@ def caps_experiment(
     paper's own machinery. Average demand including BitTorrent is the
     natural outcome (bulk transfer is exactly what caps ration).
     """
-    uncapped = [u for u in users if u.plan_data_cap_gb is None]
-    tight = [
-        u
-        for u in users
-        if u.plan_data_cap_gb is not None
-        and u.plan_data_cap_gb < tight_cap_gb
-    ]
-    loose = [
-        u
-        for u in users
-        if u.plan_data_cap_gb is not None
-        and u.plan_data_cap_gb >= tight_cap_gb
-    ]
-    if not uncapped or not tight:
+    capped = users.current("has_plan_data_cap")
+    cap_gb = users.current("plan_data_cap_gb")
+    uncapped = users.select_users(~capped)
+    tight = users.select_users(capped & (cap_gb < tight_cap_gb))
+    n_loose = int(np.count_nonzero(capped & (cap_gb >= tight_cap_gb)))
+    if uncapped.n_users == 0 or tight.n_users == 0:
         raise AnalysisError("need both uncapped and tightly-capped users")
     experiment = matched_experiment(
         "tight cap (control) vs no cap (treatment)",
@@ -80,7 +72,7 @@ def caps_experiment(
     )
     return CapsResult(
         experiment=experiment,
-        n_uncapped=len(uncapped),
-        n_tight_capped=len(tight),
-        n_loose_capped=len(loose),
+        n_uncapped=uncapped.n_users,
+        n_tight_capped=tight.n_users,
+        n_loose_capped=n_loose,
     )

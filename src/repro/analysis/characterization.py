@@ -8,12 +8,10 @@ dataset, plus the summary statistics the paper quotes in the text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from ..core.stats import ecdf, percentile
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..units import fraction_to_percent
 
@@ -62,15 +60,13 @@ class Figure1Result:
         ]
 
 
-def figure1(users: Sequence[UserRecord]) -> Figure1Result:
+def figure1(users: UserColumns) -> Figure1Result:
     """Compute Fig. 1 over every connection used in the analysis."""
-    if not users:
+    if users.n_users == 0:
         raise AnalysisError("figure 1 needs at least one user")
-    capacities = np.array([u.capacity_down_mbps for u in users])
-    latencies = np.array([u.latency_ms for u in users])
-    losses_pct = np.array(
-        [fraction_to_percent(u.loss_fraction) for u in users]
-    )
+    capacities = users.capacity_down_mbps
+    latencies = users.latency_ms
+    losses_pct = fraction_to_percent(users.loss_fraction)
 
     cap_x, cap_p = ecdf(capacities)
     lat_x, lat_p = ecdf(latencies)
@@ -80,7 +76,7 @@ def figure1(users: Sequence[UserRecord]) -> Figure1Result:
         capacity_cdf=EcdfSeries(cap_x, cap_p),
         latency_cdf=EcdfSeries(lat_x, lat_p),
         loss_percent_cdf=EcdfSeries(loss_x, loss_p),
-        n_users=len(users),
+        n_users=users.n_users,
         median_capacity_mbps=percentile(capacities, 50.0),
         capacity_iqr_mbps=(
             percentile(capacities, 25.0),

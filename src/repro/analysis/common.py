@@ -1,12 +1,17 @@
 """Shared analysis building blocks.
 
-Implements the two recurring constructs of the paper's evaluation:
+Implements the two recurring constructs of the paper's evaluation over
+columnar user panels (:class:`~repro.datasets.columns.UserColumns`):
 
 * the **binned demand curve** — users grouped by capacity class, per-bin
   average demand with a 95% CI (the data behind Figs. 2, 3 and 6);
 * the **matched natural experiment** — nearest-neighbor matching of
   control and treatment users on confounders, followed by the sign test
   (the machinery behind Tables 2, 3, 6, 7 and 8).
+
+Callers select pools with per-user masks (:meth:`UserColumns.current`,
+:meth:`BinSpec.index_of_array`, :meth:`UserColumns.select_users`);
+confounders, outcomes and eligibility are whole-column reads.
 """
 
 from __future__ import annotations
@@ -23,12 +28,10 @@ from ..core.matching import (
     DEFAULT_CALIPER,
     LOSS_MATCH_FLOOR,
     MatchingSummary,
-    match_pairs,
     match_pairs_arrays,
 )
 from ..core.stats import ConfidenceInterval, mean_confidence_interval, pearson_r
 from ..datasets.columns import UserColumns
-from ..datasets.records import UserRecord
 from ..exceptions import AnalysisError
 from ..obs import ledger as obs
 
@@ -36,58 +39,22 @@ __all__ = [
     "BinnedCurve",
     "BinnedCurvePoint",
     "CONFOUNDER_COLUMNS",
-    "CONFOUNDER_EXTRACTORS",
     "binned_demand_curve",
     "curve_correlation",
     "demand_outcome",
-    "demand_outcome_array",
     "eligibility_mask",
     "matched_experiment",
-    "matched_experiment_columns",
-    "standard_confounders",
 ]
 
 #: Minimum users in a capacity bin for it to appear in a curve.
 _MIN_BIN_USERS = 5
 
 
-def demand_outcome(metric: str, include_bt: bool) -> Callable[[UserRecord], float]:
-    """Outcome extractor for a demand statistic of the current period."""
-    if metric not in ("mean", "peak"):
-        raise AnalysisError(f"unknown demand metric {metric!r}")
-
-    def outcome(user: UserRecord) -> float:
-        return user.demand(metric=metric, include_bt=include_bt)
-
-    return outcome
-
-
-def _market_value(value: float | None) -> float:
-    """A market covariate as a matching confounder; NaN marks *missing*.
-
-    Only ``None`` means missing — a 0.0 price (free or bundled plan) or
-    a 0.0 upgrade cost (flat-priced tiers) is a legitimate market
-    condition and must stay in the matching pool, so truthiness checks
-    are off limits here.
-    """
-    return math.nan if value is None else float(value)
-
-
-CONFOUNDER_EXTRACTORS: dict[str, Callable[[UserRecord], float]] = {
-    "capacity": lambda u: u.capacity_down_mbps,
-    "latency": lambda u: u.latency_ms,
-    # The loss floor is owned by repro.core.matching (single source of
-    # truth, pinned relative to its ZERO_FLOOR — see LOSS_MATCH_FLOOR).
-    "loss": lambda u: max(u.loss_fraction, LOSS_MATCH_FLOOR),
-    "price_of_access": lambda u: _market_value(u.price_of_access_usd),
-    "upgrade_cost": lambda u: _market_value(u.upgrade_cost_usd_per_mbps),
-}
-
-
-def demand_outcome_array(
+def demand_outcome(
     metric: str, include_bt: bool
 ) -> Callable[[UserColumns], np.ndarray]:
-    """Columnar twin of :func:`demand_outcome`: one value per user."""
+    """Outcome of a demand statistic of the current period: one value
+    per user of a pool."""
     if metric not in ("mean", "peak"):
         raise AnalysisError(f"unknown demand metric {metric!r}")
 
@@ -97,40 +64,19 @@ def demand_outcome_array(
     return outcome
 
 
-#: Columnar twins of :data:`CONFOUNDER_EXTRACTORS`: one array per pool,
-#: value-identical element-wise (missing market covariates are stored as
-#: NaN in the columns, exactly what ``_market_value`` produces).
+#: Matching confounders by name: one array per pool. A missing market
+#: covariate is NaN in the columns and so fails :func:`eligibility_mask`;
+#: a 0.0 price (free or bundled plan) or upgrade cost (flat-priced
+#: tiers) is a legitimate market condition and stays in the pool.
 CONFOUNDER_COLUMNS: dict[str, Callable[[UserColumns], np.ndarray]] = {
     "capacity": lambda c: c.capacity_down_mbps,
     "latency": lambda c: c.latency_ms,
+    # The loss floor is owned by repro.core.matching (single source of
+    # truth, pinned relative to its ZERO_FLOOR — see LOSS_MATCH_FLOOR).
     "loss": lambda c: np.maximum(c.loss_fraction, LOSS_MATCH_FLOOR),
     "price_of_access": lambda c: c.price_of_access_usd,
     "upgrade_cost": lambda c: c.upgrade_cost_usd_per_mbps,
 }
-
-
-def standard_confounders(names: Sequence[str]) -> list[Callable[[UserRecord], float]]:
-    """Resolve confounder names to extractors, validating them."""
-    try:
-        return [CONFOUNDER_EXTRACTORS[name] for name in names]
-    except KeyError as exc:
-        raise AnalysisError(f"unknown confounder {exc.args[0]!r}") from None
-
-
-def _has_confounders(user: UserRecord, names: Sequence[str]) -> bool:
-    """Whether every matching confounder is present *and usable*.
-
-    Missing market covariates surface as NaN (see :func:`_market_value`);
-    datasets that skipped the sanitization stage can additionally carry
-    non-finite measurement values. Either way the user cannot be placed
-    in the matching space, so eligibility requires finiteness, not just
-    non-NaN — identical on clean data, where every value is finite.
-    """
-    for name in names:
-        value = CONFOUNDER_EXTRACTORS[name](user)
-        if not math.isfinite(value):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -145,69 +91,19 @@ class MatchedExperimentResult:
         return self.result.n_pairs
 
 
-def matched_experiment(
-    name: str,
-    control: Sequence[UserRecord],
-    treatment: Sequence[UserRecord],
-    confounders: Sequence[str],
-    outcome: Callable[[UserRecord], float],
-    caliper: float = DEFAULT_CALIPER,
-    hypothesis: str = "treatment increases demand",
-) -> MatchedExperimentResult:
-    """Run one matched natural experiment between two user pools.
-
-    Users missing any confounder (e.g. no market upgrade-cost estimate)
-    are excluded before matching, as the paper excludes users it cannot
-    place in a market; so are users whose outcome is non-finite (only
-    possible for un-sanitized dirty datasets).
-    """
-
-    def _eligible(user: UserRecord) -> bool:
-        return _has_confounders(user, confounders) and math.isfinite(
-            outcome(user)
-        )
-
-    eligible_control = [u for u in control if _eligible(u)]
-    eligible_treatment = [u for u in treatment if _eligible(u)]
-    matching = match_pairs(
-        eligible_control,
-        eligible_treatment,
-        standard_confounders(confounders),
-        caliper=caliper,
-    )
-    experiment = NaturalExperiment(name=name, hypothesis=hypothesis)
-    result = experiment.evaluate(
-        PairedOutcome(outcome(pair.control), outcome(pair.treatment))
-        for pair in matching.pairs
-    )
-    # Run-ledger accounting (no-op outside a traced run): eligibility
-    # attrition, matched pairs, and the paper's overall verdict tally.
-    obs.count("experiments.run")
-    obs.count(
-        "experiments.users_excluded",
-        (len(control) - len(eligible_control))
-        + (len(treatment) - len(eligible_treatment)),
-    )
-    obs.count("experiments.pairs", result.n_pairs)
-    obs.count("experiments.ties", result.n_ties)
-    obs.count(
-        "experiments.verdicts.rejects_null"
-        if result.rejects_null
-        else "experiments.verdicts.null_retained"
-    )
-    return MatchedExperimentResult(result=result, matching=matching)
-
-
 def eligibility_mask(
     users: UserColumns,
     confounders: Sequence[str],
     outcome_values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Per-user matching eligibility, computed column-wise.
+    """Per-user matching eligibility: every confounder (and the
+    outcome, when given) must be finite.
 
-    The vectorized twin of the object path's per-user
-    ``_has_confounders(...) and isfinite(outcome(...))`` filter: every
-    confounder (and the outcome, when given) must be finite.
+    Missing market covariates are NaN; datasets that skipped the
+    sanitization stage can additionally carry non-finite measurement
+    values. Either way the user cannot be placed in the matching space,
+    so eligibility requires finiteness, not just non-NaN — identical on
+    clean data, where every value is finite.
     """
     mask = np.ones(users.n_users, dtype=bool)
     for name in confounders:
@@ -219,7 +115,7 @@ def eligibility_mask(
     return mask
 
 
-def matched_experiment_columns(
+def matched_experiment(
     name: str,
     control: UserColumns,
     treatment: UserColumns,
@@ -228,15 +124,15 @@ def matched_experiment_columns(
     caliper: float = DEFAULT_CALIPER,
     hypothesis: str = "treatment increases demand",
 ) -> MatchedExperimentResult:
-    """Columnar twin of :func:`matched_experiment`.
+    """Run one matched natural experiment between two user pools.
 
     ``outcome`` maps a pool to one float per user (see
-    :func:`demand_outcome_array`). Eligibility filtering, matching, the
-    sign test, and the run-ledger accounting all operate on columns;
-    given pools whose per-user values equal the object path's (in the
-    same order), the verdicts and every counter are identical — the
-    equivalence tests in ``tests/analysis/test_columnar.py`` hold the
-    two paths together.
+    :func:`demand_outcome`). Users missing any confounder (e.g. no
+    market upgrade-cost estimate) are excluded before matching, as the
+    paper excludes users it cannot place in a market; so are users
+    whose outcome is non-finite (only possible for un-sanitized dirty
+    datasets). Pairs index the pools in user order, so a pool's order
+    decides matching ties.
     """
     control_outcome = np.asarray(outcome(control), dtype=float)
     treatment_outcome = np.asarray(outcome(treatment), dtype=float)
@@ -260,6 +156,8 @@ def matched_experiment_columns(
         )
         for pair in matching.pairs
     )
+    # Run-ledger accounting (no-op outside a traced run): eligibility
+    # attrition, matched pairs, and the paper's overall verdict tally.
     obs.count("experiments.run")
     obs.count(
         "experiments.users_excluded",
@@ -312,7 +210,7 @@ class BinnedCurve:
 
 
 def binned_demand_curve(
-    users: "Sequence[UserRecord] | UserColumns",
+    users: UserColumns,
     metric: str = "mean",
     include_bt: bool = True,
     spec: BinSpec | None = None,
@@ -320,49 +218,13 @@ def binned_demand_curve(
 ) -> BinnedCurve:
     """Group users into capacity classes and average their demand.
 
-    Accepts either a record sequence or a columnar dataset; the
-    columnar path bins and averages whole columns
-    (:meth:`BinSpec.index_of_array`) and produces a value-identical
-    curve — members enter each bin in user order either way, so the
-    per-bin mean and CI see the same floats in the same order.
+    Members enter each bin in user order. Non-finite demand can only
+    come from un-sanitized dirty data; on clean datasets the finiteness
+    filter keeps every member.
     """
     if spec is None:
         spec = capacity_class_spec()
-    if isinstance(users, UserColumns):
-        return _binned_demand_curve_columns(
-            users, metric, include_bt, spec, min_users
-        )
-    outcome = demand_outcome(metric, include_bt)
-    grouped = spec.group((u.capacity_down_mbps, u) for u in users)
-    points = []
-    for bin_ in spec:
-        # Non-finite demand can only come from un-sanitized dirty data;
-        # on clean datasets this filter keeps every member.
-        members = [
-            u for u in grouped.get(bin_, []) if math.isfinite(outcome(u))
-        ]
-        if len(members) < min_users:
-            continue
-        values = [outcome(u) for u in members]
-        points.append(
-            BinnedCurvePoint(
-                bin=bin_,
-                n_users=len(members),
-                average=float(np.mean(values)),
-                ci=mean_confidence_interval(values),
-            )
-        )
-    return BinnedCurve(metric=metric, include_bt=include_bt, points=tuple(points))
-
-
-def _binned_demand_curve_columns(
-    users: UserColumns,
-    metric: str,
-    include_bt: bool,
-    spec: BinSpec,
-    min_users: int,
-) -> BinnedCurve:
-    values = demand_outcome_array(metric, include_bt)(users)
+    values = demand_outcome(metric, include_bt)(users)
     bin_index = spec.index_of_array(users.capacity_down_mbps)
     finite = np.isfinite(values)
     points = []

@@ -10,11 +10,9 @@ records — the root cause of the Fig. 3 mean offset, seen directly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 
 __all__ = ["DiurnalProfile", "population_diurnal_profile"]
@@ -66,7 +64,7 @@ class DiurnalProfile:
 
 
 def population_diurnal_profile(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     normalize: bool = True,
 ) -> DiurnalProfile:
     """Average the per-period hourly profiles across a population.
@@ -77,23 +75,21 @@ def population_diurnal_profile(
     totals = np.zeros(24)
     counts = np.zeros(24, dtype=int)
     n_periods = 0
-    for user in users:
-        for obs in user.observations:
-            profile = obs.hourly_mean_mbps
-            if profile is None:
+    rows = users.rows
+    # Every period with a profile, in user and observation order: the
+    # running sums below add them in that order.
+    for values in rows["hourly_mean_mbps"][rows["has_hourly"]]:
+        finite = ~np.isnan(values)
+        if not finite.any():
+            continue
+        if normalize:
+            scale = float(values[finite].mean())
+            if scale <= 0:
                 continue
-            values = np.asarray(profile, dtype=float)
-            finite = ~np.isnan(values)
-            if not finite.any():
-                continue
-            if normalize:
-                scale = float(values[finite].mean())
-                if scale <= 0:
-                    continue
-                values = values / scale
-            n_periods += 1
-            totals[finite] += values[finite]
-            counts[finite] += 1
+            values = values / scale
+        n_periods += 1
+        totals[finite] += values[finite]
+        counts[finite] += 1
     if n_periods == 0:
         raise AnalysisError("no periods carry hourly profiles")
     means = np.full(24, np.nan)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
 from . import capacity, characterization, longitudinal, price, upgrade_cost, quality
@@ -49,8 +49,8 @@ def _curve_rows(series: str, curve):
 
 def export_figure_data(
     out_dir: str | Path,
-    dasu: Sequence[UserRecord],
-    fcc: Sequence[UserRecord] | None = None,
+    dasu: UserColumns,
+    fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
 ) -> list[Path]:
     """Write every reproducible figure's series to ``out_dir``.
@@ -59,7 +59,7 @@ def export_figure_data(
     (e.g. Fig. 3 without an FCC dataset, Fig. 10 without a survey) are
     skipped.
     """
-    if not dasu:
+    if dasu.n_users == 0:
         raise AnalysisError("export needs at least the Dasu dataset")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,7 +103,7 @@ def export_figure_data(
     written.append(path)
 
     # Fig. 3 needs FCC.
-    if fcc:
+    if fcc is not None and fcc.n_users:
         fig3 = capacity.figure3(dasu, fcc)
         path = out / "fig3_fcc_vs_dasu.csv"
         rows = []

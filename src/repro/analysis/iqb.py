@@ -13,8 +13,8 @@ This module is that analysis family for the reproduction's worlds:
   with weights and min/max thresholds), JSON-loadable with parse-time
   validation that names the offending use case and requirement;
 * :func:`score_columns` — vectorized scoring over the columnar data
-  plane, with :func:`score_record` as the straight-line scalar
-  reference (the property suite holds the two exactly equal);
+  plane (the property suite holds it exactly equal to a straight-line
+  scalar reference);
 * :func:`market_barometer` — per-market mean scores and fully-ready
   shares with Wilson intervals;
 * :func:`iqb_experiment` — a matched natural experiment extending
@@ -46,14 +46,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..core.binning import capacity_class_spec
 from ..core.stats import ConfidenceInterval, wilson_interval
 from ..datasets.columns import UserColumns
-from ..datasets.records import UserRecord
 from ..exceptions import AnalysisError
 from ..obs import ledger as obs
 from .common import MatchedExperimentResult, demand_outcome, matched_experiment
@@ -67,14 +66,12 @@ __all__ = [
     "IqbRequirement",
     "IqbUseCase",
     "MarketScore",
-    "RecordScore",
     "format_iqb_report",
     "iqb_experiment",
     "iqb_payload",
     "market_barometer",
     "resolve_iqb_config",
     "score_columns",
-    "score_record",
 ]
 
 #: Metrics a requirement may grade, mapped to threshold orientation:
@@ -433,7 +430,7 @@ def resolve_iqb_config(
 
 
 # ---------------------------------------------------------------------------
-# Scoring: vectorized columnar path and the scalar reference.
+# Scoring.
 # ---------------------------------------------------------------------------
 
 
@@ -443,15 +440,6 @@ def _metric_columns(users: UserColumns) -> dict[str, np.ndarray]:
         "upload_mbps": users.current("capacity_up_mbps"),
         "latency_ms": users.latency_ms,
         "loss_fraction": users.loss_fraction,
-    }
-
-
-def _metric_values(user: UserRecord) -> dict[str, float]:
-    return {
-        "download_mbps": user.capacity_down_mbps,
-        "upload_mbps": user.current.capacity_up_mbps,
-        "latency_ms": user.latency_ms,
-        "loss_fraction": user.loss_fraction,
     }
 
 
@@ -479,19 +467,6 @@ def _requirement_met_array(
     if requirement.kind == "min":
         return finite & (values >= requirement.threshold)
     return finite & (values <= requirement.threshold)
-
-
-def _requirement_score(requirement: IqbRequirement, value: float) -> float:
-    # Straight-line scalar twin of _requirement_score_array: the same
-    # divisions and clips in the same order, so the two paths produce
-    # bit-identical floats.
-    if not math.isfinite(value):
-        return 0.0
-    if requirement.kind == "min":
-        return min(1.0, max(0.0, value / requirement.threshold))
-    if value <= requirement.threshold:
-        return 1.0
-    return requirement.threshold / value
 
 
 @dataclass(frozen=True)
@@ -552,60 +527,6 @@ def score_columns(
     )
 
 
-@dataclass(frozen=True)
-class RecordScore:
-    """One household's scores via the scalar reference path."""
-
-    use_case_scores: dict[str, float]
-    composite: float
-    ready: bool
-
-
-def score_record(
-    user: UserRecord, config: IqbConfig | None = None
-) -> RecordScore:
-    """Scalar reference implementation of :func:`score_columns`.
-
-    Exactly (bit-for-bit) the vectorized path's result for the same
-    household — the equivalence property in ``tests/analysis/test_iqb``
-    holds the two implementations together.
-    """
-    config = resolve_iqb_config(config)
-    metrics = _metric_values(user)
-    use_case_scores: dict[str, float] = {}
-    ready = True
-    composite_num = 0.0
-    composite_den = 0.0
-    for use_case in config.use_cases:
-        numerator = 0.0
-        denominator = 0.0
-        for requirement in use_case.requirements:
-            if requirement.weight <= 0:
-                continue
-            value = metrics[requirement.metric]
-            numerator = numerator + requirement.weight * (
-                _requirement_score(requirement, value)
-            )
-            denominator += requirement.weight
-            if use_case.weight > 0:
-                met = math.isfinite(value) and (
-                    value >= requirement.threshold
-                    if requirement.kind == "min"
-                    else value <= requirement.threshold
-                )
-                ready = ready and met
-        score = numerator / denominator
-        use_case_scores[use_case.name] = score
-        if use_case.weight > 0:
-            composite_num = composite_num + use_case.weight * score
-            composite_den += use_case.weight
-    return RecordScore(
-        use_case_scores=use_case_scores,
-        composite=composite_num / composite_den,
-        ready=ready,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Market aggregation.
 # ---------------------------------------------------------------------------
@@ -645,7 +566,7 @@ class MarketScore:
 
 
 def market_barometer(
-    users: "Sequence[UserRecord] | UserColumns",
+    users: UserColumns,
     config: IqbConfig | None = None,
     *,
     min_users: int = _MIN_MARKET_USERS,
@@ -657,8 +578,6 @@ def market_barometer(
     run over sorted values so cache-loaded and freshly built worlds
     (whose row orders may differ) aggregate to identical floats.
     """
-    if not isinstance(users, UserColumns):
-        users = UserColumns.from_records(users)
     config = resolve_iqb_config(config)
     scores = score_columns(users, config)
     countries = users.current("country")
@@ -706,7 +625,7 @@ class IqbExperimentResult:
 
 
 def iqb_experiment(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     config: IqbConfig | None = None,
     *,
     metric: str = "mean",
@@ -717,49 +636,29 @@ def iqb_experiment(
     Households are grouped into the paper's power-of-two capacity
     classes and tercile-split on the composite score *within* each
     class: control pools every class's bottom tercile, treatment the
-    top. A global split would put the arms in different capacity tiers
-    outright (the composite is capacity-heavy) and the capacity caliper
-    would then discard every candidate pair; the within-class split
-    keeps both arms in every tier. Pairs are further matched on
-    capacity and access price, so a holding verdict means
-    quality-of-experience — not the capacity tier it correlates with —
-    moves demand. Extends the paper's Table 7/8 single-metric
-    experiments to the full use-case composite.
+    top (class by class, users in order within a class). A global
+    split would put the arms in different capacity tiers outright (the
+    composite is capacity-heavy) and the capacity caliper would then
+    discard every candidate pair; the within-class split keeps both
+    arms in every tier. Pairs are further matched on capacity and
+    access price, so a holding verdict means quality-of-experience —
+    not the capacity tier it correlates with — moves demand. Extends
+    the paper's Table 7/8 single-metric experiments to the full
+    use-case composite.
     """
     config = resolve_iqb_config(config)
-    return _iqb_experiment(
-        users,
-        UserColumns.from_records(users),
-        config,
-        metric=metric,
-        include_bt=include_bt,
-    )
-
-
-def _iqb_experiment(
-    users: Sequence[UserRecord],
-    columns: UserColumns,
-    config: IqbConfig,
-    *,
-    metric: str = "mean",
-    include_bt: bool = False,
-) -> IqbExperimentResult:
-    """:func:`iqb_experiment` over the same households as records and as
-    columns (row ``i`` is ``users[i]``), so callers that already hold
-    the columns do not convert the records again."""
-    if len(users) < _MIN_EXPERIMENT_USERS:
+    if users.n_users < _MIN_EXPERIMENT_USERS:
         raise AnalysisError(
             f"the IQB experiment needs at least {_MIN_EXPERIMENT_USERS} "
-            f"households, got {len(users)}"
+            f"households, got {users.n_users}"
         )
     with obs.span(f"iqb/experiment/{config.name}"):
-        composite = score_columns(columns, config).composite
+        composite = score_columns(users, config).composite
         classes = capacity_class_spec().index_of_array(
-            columns.capacity_down_mbps
+            users.capacity_down_mbps
         )
-        control: list[UserRecord] = []
-        treatment: list[UserRecord] = []
-        n_classes = 0
+        control: list[np.ndarray] = []
+        treatment: list[np.ndarray] = []
         for klass in np.unique(classes):
             if klass < 0:
                 continue
@@ -771,23 +670,20 @@ def _iqb_experiment(
             high = float(np.quantile(class_scores, 2.0 / 3.0))
             if not low < high:
                 continue
-            n_classes += 1
-            control.extend(
-                users[i] for i in members if composite[i] <= low
-            )
-            treatment.extend(
-                users[i] for i in members if composite[i] >= high
-            )
-        if not n_classes:
+            control.append(members[class_scores <= low])
+            treatment.append(members[class_scores >= high])
+        if not control:
             raise AnalysisError(
                 f"IQB config {config.name!r}: no capacity class has "
                 f">= {_MIN_CLASS_USERS} households with distinct "
                 "composite terciles"
             )
+        control_users = users.take(np.concatenate(control))
+        treatment_users = users.take(np.concatenate(treatment))
         result = matched_experiment(
             f"iqb[{config.name}] bottom vs top tercile",
-            control,
-            treatment,
+            control_users,
+            treatment_users,
             confounders=_IQB_CONFOUNDERS,
             outcome=demand_outcome(metric, include_bt),
             hypothesis="higher use-case quality increases demand",
@@ -796,9 +692,9 @@ def _iqb_experiment(
     return IqbExperimentResult(
         config_name=config.name,
         experiment=result,
-        n_control=len(control),
-        n_treatment=len(treatment),
-        n_classes=n_classes,
+        n_control=control_users.n_users,
+        n_treatment=treatment_users.n_users,
+        n_classes=len(control),
     )
 
 
@@ -827,40 +723,22 @@ def _population_lines(
 
 
 def format_iqb_report(
-    dasu: Sequence[UserRecord] | UserColumns,
-    fcc: Sequence[UserRecord] | UserColumns | None = None,
+    dasu: UserColumns,
+    fcc: UserColumns | None = None,
     config: IqbConfig | None = None,
     *,
     max_markets: int = 12,
 ) -> str:
     """The barometer block: population scores, markets, experiment."""
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else dasu
-    dasu_columns = (
-        dasu
-        if isinstance(dasu, UserColumns)
-        else UserColumns.from_records(dasu_records)
-    )
-    if dasu_columns.n_users == 0:
+    if dasu.n_users == 0:
         raise AnalysisError("the IQB barometer needs Dasu households")
     with obs.span(f"iqb/report/{config.name}"):
         lines = [f"Internet quality barometer (config {config.name!r})"]
-        lines.extend(
-            _population_lines("Dasu", score_columns(dasu_columns, config))
-        )
-        if fcc is not None:
-            fcc_columns = (
-                fcc
-                if isinstance(fcc, UserColumns)
-                else UserColumns.from_records(fcc)
-            )
-            if fcc_columns.n_users:
-                lines.extend(
-                    _population_lines(
-                        "FCC", score_columns(fcc_columns, config)
-                    )
-                )
-        markets = market_barometer(dasu_columns, config)
+        lines.extend(_population_lines("Dasu", score_columns(dasu, config)))
+        if fcc is not None and fcc.n_users:
+            lines.extend(_population_lines("FCC", score_columns(fcc, config)))
+        markets = market_barometer(dasu, config)
         shown = markets[:max_markets]
         lines.append(
             f"  markets (>= {_MIN_MARKET_USERS} households, "
@@ -874,10 +752,8 @@ def format_iqb_report(
                 f"[{100 * market.ready_ci.low:.1f}%, "
                 f"{100 * market.ready_ci.high:.1f}%]"
             )
-        if dasu_records is None:
-            dasu_records = dasu_columns.to_records()
         try:
-            experiment = _iqb_experiment(dasu_records, dasu_columns, config)
+            experiment = iqb_experiment(dasu, config)
         except AnalysisError as exc:
             lines.append(f"  IQB-vs-demand experiment skipped: {exc}")
         else:
@@ -895,8 +771,8 @@ def format_iqb_report(
 
 
 def iqb_payload(
-    dasu: Sequence[UserRecord] | UserColumns,
-    fcc: Sequence[UserRecord] | UserColumns | None = None,
+    dasu: UserColumns,
+    fcc: UserColumns | None = None,
     config: IqbConfig | None = None,
 ) -> dict:
     """JSON-ready barometer payload (``iqb.json``, ``/iqb.json``).
@@ -906,13 +782,7 @@ def iqb_payload(
     value serialize byte-identically.
     """
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else dasu
-    dasu_columns = (
-        dasu
-        if isinstance(dasu, UserColumns)
-        else UserColumns.from_records(dasu_records)
-    )
-    if dasu_columns.n_users == 0:
+    if dasu.n_users == 0:
         raise AnalysisError("the IQB barometer needs Dasu households")
 
     def population(columns: UserColumns) -> dict:
@@ -936,21 +806,13 @@ def iqb_payload(
 
     payload: dict = {
         "config": config.to_payload(),
-        "dasu": population(dasu_columns),
-        "markets": [
-            m.to_payload() for m in market_barometer(dasu_columns, config)
-        ],
+        "dasu": population(dasu),
+        "markets": [m.to_payload() for m in market_barometer(dasu, config)],
     }
-    if fcc is not None:
-        fcc_columns = (
-            fcc if isinstance(fcc, UserColumns) else UserColumns.from_records(fcc)
-        )
-        if fcc_columns.n_users:
-            payload["fcc"] = population(fcc_columns)
-    if dasu_records is None:
-        dasu_records = dasu_columns.to_records()
+    if fcc is not None and fcc.n_users:
+        payload["fcc"] = population(fcc)
     try:
-        experiment = _iqb_experiment(dasu_records, dasu_columns, config)
+        experiment = iqb_experiment(dasu, config)
     except AnalysisError as exc:
         payload["experiment"] = {"skipped": str(exc)}
     else:

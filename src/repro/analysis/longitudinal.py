@@ -9,39 +9,43 @@ harder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..core.binning import BinSpec, capacity_class_spec
 from ..core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
-from ..core.matching import match_pairs
-from ..core.upgrades import ServicePeriod
-from ..datasets.records import PeriodObservation, UserRecord
+from ..core.matching import LOSS_MATCH_FLOOR, match_pairs_arrays
+from ..core.stats import mean_confidence_interval
+from ..datasets.columns import UserColumns
+from ..datasets.records import _DAYS_PER_YEAR, EPOCH_YEAR
 from ..exceptions import AnalysisError
 from .common import BinnedCurve, BinnedCurvePoint
-from ..core.stats import mean_confidence_interval
 
 __all__ = ["Figure6Result", "YearCurve", "figure6", "year_observations"]
 
 
-def year_observations(
-    users: Sequence[UserRecord], year: int
-) -> list[tuple[UserRecord, PeriodObservation]]:
-    """All (user, observation) pairs for one calendar year."""
-    out = []
-    for user in users:
-        obs = user.observation_in_year(year)
-        if obs is not None:
-            out.append((user, obs))
-    return out
+def year_observations(users: UserColumns, year: int) -> np.ndarray:
+    """Row index of each user's observation in one calendar year — the
+    user's first period starting that year, dated as
+    :func:`~repro.datasets.records.period_year` dates it — users in
+    order; users not seen that year are absent."""
+    years = EPOCH_YEAR + (users.rows["start_day"] // _DAYS_PER_YEAR).astype(
+        np.int64
+    )
+    rows = np.flatnonzero(years == year)
+    owner = np.repeat(np.arange(users.n_users), users.user_counts)[rows]
+    _, first = np.unique(owner, return_index=True)
+    return rows[first]
 
 
-def _period_demand(period: ServicePeriod, metric: str, include_bt: bool) -> float:
-    if metric == "mean":
-        return period.mean_mbps if include_bt else period.mean_no_bt_mbps
-    if metric == "peak":
-        return period.peak_mbps if include_bt else period.peak_no_bt_mbps
-    raise AnalysisError(f"unknown metric {metric!r}")
+def _period_demand(metric: str, include_bt: bool) -> str:
+    """The period column holding a demand statistic."""
+    if metric not in ("mean", "peak"):
+        raise AnalysisError(f"unknown metric {metric!r}")
+    return f"{metric}_mbps" if include_bt else f"{metric}_no_bt_mbps"
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,6 @@ class Figure6Result:
         A value near zero means demand per class stayed constant — the
         paper's headline longitudinal finding.
         """
-        import math
-
         first = self.year_curves[0].curve
         last = self.year_curves[-1].curve
         drifts = []
@@ -97,34 +99,35 @@ class Figure6Result:
 
 
 def _year_curve(
-    observations: Sequence[tuple[UserRecord, PeriodObservation]],
+    users: UserColumns,
+    rows: np.ndarray,
+    demand: str,
     metric: str,
     include_bt: bool,
     spec: BinSpec,
     min_users: int,
 ) -> BinnedCurve:
-    grouped = spec.group(
-        (obs.period.capacity_mbps, obs) for _, obs in observations
-    )
+    classes = spec.index_of_array(users.rows["capacity_mbps"][rows])
+    values = users.rows[demand][rows]
     points = []
-    for bin_ in spec:
-        members = grouped.get(bin_, [])
-        if len(members) < min_users:
+    for i, bin_ in enumerate(spec):
+        members = values[classes == i]
+        if members.size < min_users:
             continue
-        values = [_period_demand(o.period, metric, include_bt) for o in members]
         points.append(
             BinnedCurvePoint(
                 bin=bin_,
-                n_users=len(members),
-                average=float(sum(values) / len(values)),
-                ci=mean_confidence_interval(values),
+                n_users=int(members.size),
+                # Python's float sum, as the curve has always averaged.
+                average=float(sum(members.tolist()) / members.size),
+                ci=mean_confidence_interval(members),
             )
         )
     return BinnedCurve(metric=metric, include_bt=include_bt, points=tuple(points))
 
 
 def figure6(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "peak",
     include_bt: bool = False,
     years: Sequence[int] = (2011, 2012, 2013),
@@ -141,51 +144,62 @@ def figure6(
     if len(years) < 2:
         raise AnalysisError("a longitudinal analysis needs at least two years")
     spec = capacity_class_spec()
+    demand = _period_demand(metric, include_bt)
     per_year = {year: year_observations(users, year) for year in years}
     curves = tuple(
         YearCurve(
             year=year,
-            curve=_year_curve(per_year[year], metric, include_bt, spec, min_users),
+            curve=_year_curve(
+                users, per_year[year], demand, metric, include_bt, spec,
+                min_users,
+            ),
         )
         for year in years
     )
 
     first, last = years[0], years[-1]
-    confounders = (
-        lambda pair: pair[1].period.capacity_mbps,
-        lambda pair: pair[1].latency_ms,
-        lambda pair: max(pair[1].loss_fraction, 1e-4),
-    )
-    matching = match_pairs(
-        per_year[first], per_year[last], confounders, caliper=caliper
-    )
+    rows = users.rows
 
-    def outcome(pair) -> PairedOutcome:
-        return PairedOutcome(
-            _period_demand(pair.control[1].period, metric, include_bt),
-            _period_demand(pair.treatment[1].period, metric, include_bt),
-        )
+    def confounders(year: int) -> list[np.ndarray]:
+        period_rows = per_year[year]
+        return [
+            rows["capacity_mbps"][period_rows],
+            rows["latency_ms"][period_rows],
+            np.maximum(rows["loss_fraction"][period_rows], LOSS_MATCH_FLOOR),
+        ]
+
+    matching = match_pairs_arrays(
+        confounders(first), confounders(last), caliper=caliper
+    )
+    # Each pair as (control row, treatment row).
+    pairs = [
+        (int(per_year[first][pair.control]), int(per_year[last][pair.treatment]))
+        for pair in matching.pairs
+    ]
+    demand_values = rows[demand].tolist()
+
+    def outcome(pair: tuple[int, int]) -> PairedOutcome:
+        control, treatment = pair
+        return PairedOutcome(demand_values[control], demand_values[treatment])
 
     pooled = NaturalExperiment(
         name=f"{first} vs {last} demand at fixed capacity",
         hypothesis="demand at a fixed capacity class grows over time",
-    ).evaluate(outcome(pair) for pair in matching.pairs)
+    ).evaluate(outcome(pair) for pair in pairs)
 
     # The paper's per-tier version: one experiment per capacity class.
     per_class: list[tuple[object, ExperimentResult]] = []
-    by_class: dict = {}
-    for pair in matching.pairs:
-        bin_ = spec.bin_of(pair.control[1].period.capacity_mbps)
-        if bin_ is not None:
-            by_class.setdefault(bin_, []).append(pair)
-    for bin_ in spec:
-        pairs = by_class.get(bin_, [])
-        if len(pairs) < min_users:
+    pair_classes = spec.index_of_array(
+        rows["capacity_mbps"][[control for control, _ in pairs]]
+    ).tolist()
+    for i, bin_ in enumerate(spec):
+        class_pairs = [p for p, k in zip(pairs, pair_classes) if k == i]
+        if len(class_pairs) < min_users:
             continue
         result = NaturalExperiment(
             name=f"{first} vs {last} in {bin_.label()}",
             hypothesis="demand in this class grows over time",
-        ).evaluate(outcome(pair) for pair in pairs)
+        ).evaluate(outcome(pair) for pair in class_pairs)
         per_class.append((bin_, result))
 
     return Figure6Result(

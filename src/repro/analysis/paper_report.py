@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..core.executor import run_sharded
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
 from ..obs import ledger as obs
@@ -154,7 +154,7 @@ def _render_pooled(dasu, fcc, survey, jobs: int | None) -> dict[str, _Rendered]:
     (if any) in declaration order, so the merged ledger is the same for
     any worker count.
     """
-    if not dasu:
+    if dasu.n_users == 0:
         raise AnalysisError("a report needs at least the Dasu dataset")
     keys = fragment_keys()
     outputs = run_sharded(
@@ -170,19 +170,19 @@ def _render_pooled(dasu, fcc, survey, jobs: int | None) -> dict[str, _Rendered]:
 
 def render_fragment(
     key: str,
-    dasu: Sequence[UserRecord] = (),
-    fcc: Sequence[UserRecord] | None = None,
+    dasu: UserColumns | None = None,
+    fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
 ) -> _Rendered:
     """Render one fragment without timing or ledger accounting.
 
     Returns ``(text, error)``: an :class:`~repro.exceptions.AnalysisError`
     becomes a section-skip message, and ``None`` text means the
-    fragment's optional dataset is absent. This is the only place a
-    fragment is rendered — the pooled path times it from the outside,
-    and DAG fragment stages use it as is, so their artifacts contain no
-    wall-clock state and an unchanged input hashes to an unchanged
-    output.
+    fragment's optional dataset is absent or has no users. This is the
+    only place a fragment is rendered — the pooled path times it from
+    the outside, and DAG fragment stages use it as is, so their
+    artifacts contain no wall-clock state and an unchanged input hashes
+    to an unchanged output.
     """
     build = _FRAGMENTS[key]
     try:
@@ -225,8 +225,8 @@ def assemble_report(
 
 
 def section_reports(
-    dasu: Sequence[UserRecord],
-    fcc: Sequence[UserRecord] | None = None,
+    dasu: UserColumns,
+    fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
     *,
     jobs: int | None = 1,
@@ -245,8 +245,8 @@ def section_reports(
 
 
 def full_report(
-    dasu: Sequence[UserRecord],
-    fcc: Sequence[UserRecord] | None = None,
+    dasu: UserColumns,
+    fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
     *,
     jobs: int | None = 1,
@@ -258,7 +258,7 @@ def full_report(
     """
     return assemble_report(
         _render_pooled(dasu, fcc, survey, jobs),
-        n_dasu=len(dasu),
-        n_fcc=len(fcc) if fcc else 0,
+        n_dasu=dasu.n_users,
+        n_fcc=0 if fcc is None else fcc.n_users,
         n_plans=survey.n_plans if survey is not None else None,
     )

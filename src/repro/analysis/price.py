@@ -22,7 +22,7 @@ from ..core.binning import (
     explicit_bins,
 )
 from ..core.stats import ecdf, percentile
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..market.affordability import cost_of_access_as_income_share
 from ..market.countries import CASE_STUDY_COUNTRIES
@@ -72,7 +72,7 @@ _TABLE3_CONFOUNDERS = ("capacity", "latency", "loss")
 
 
 def table3(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "peak",
     include_bt: bool = False,
     confounders: Sequence[str] = _TABLE3_CONFOUNDERS,
@@ -83,16 +83,12 @@ def table3(
     (< $25, $25-60, > $60 monthly, USD PPP); cheaper markets are the
     control. Outcome is peak demand without BitTorrent, per the paper.
     """
-    bins = explicit_bins(PRICE_OF_ACCESS_BINS_USD)
-    groups: list[list[UserRecord]] = [[], [], []]
-    for user in users:
-        if user.price_of_access_usd is None:
-            continue
-        index = bins.index_of(user.price_of_access_usd)
-        if index is not None:
-            groups[index].append(user)
-    low, mid, high = groups
-    if not low or (not mid and not high):
+    # A missing price is NaN, which no bin holds.
+    groups = explicit_bins(PRICE_OF_ACCESS_BINS_USD).index_of_array(
+        users.price_of_access_usd
+    )
+    low, mid, high = (users.select_users(groups == i) for i in range(3))
+    if low.n_users == 0 or (mid.n_users == 0 and high.n_users == 0):
         raise AnalysisError("price groups are too empty for the experiment")
     outcome = demand_outcome(metric, include_bt)
     return Table3Result(
@@ -112,7 +108,7 @@ def table3(
             outcome,
             hypothesis="higher access price increases demand",
         ),
-        group_sizes=(len(low), len(mid), len(high)),
+        group_sizes=(low.n_users, mid.n_users, high.n_users),
     )
 
 
@@ -156,7 +152,7 @@ class Table4Result:
 
 
 def table4(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     survey: PlanSurvey,
     countries: Sequence[str] = CASE_STUDY_COUNTRIES,
 ) -> Table4Result:
@@ -168,19 +164,17 @@ def table4(
     """
     rows = []
     for country in countries:
-        country_users = [u for u in users if u.country == country]
-        if not country_users:
+        capacities = users.capacity_down_mbps[users.country_mask(country)]
+        if not capacities.size:
             raise AnalysisError(f"no users for case-study country {country!r}")
         market = survey.market(country)
-        median_capacity = percentile(
-            [u.capacity_down_mbps for u in country_users], 50.0
-        )
+        median_capacity = percentile(capacities, 50.0)
         plan = market.nearest_plan(median_capacity)
         price = plan.monthly_price_usd_ppp
         rows.append(
             Table4Row(
                 country=country,
-                n_users=len(country_users),
+                n_users=int(capacities.size),
                 median_capacity_mbps=median_capacity,
                 nearest_tier_mbps=plan.download_mbps,
                 price_usd_ppp=price,
@@ -233,21 +227,21 @@ class Figure7Result:
 
 
 def figure7(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     countries: Sequence[str] = CASE_STUDY_COUNTRIES,
 ) -> Figure7Result:
     """Per-country capacity and 95th-percentile utilization CDFs (Fig. 7)."""
     entries = []
     for country in countries:
-        country_users = [u for u in users if u.country == country]
-        if not country_users:
+        mask = users.country_mask(country)
+        if not mask.any():
             raise AnalysisError(f"no users for country {country!r}")
-        capacities = np.array([u.capacity_down_mbps for u in country_users])
-        utilizations = np.array([u.peak_utilization for u in country_users])
+        capacities = users.capacity_down_mbps[mask]
+        utilizations = users.peak_utilization[mask]
         entries.append(
             CountryCdfs(
                 country=country,
-                n_users=len(country_users),
+                n_users=int(capacities.size),
                 capacity_cdf=ecdf(capacities),
                 peak_utilization_cdf=ecdf(utilizations),
                 median_capacity_mbps=float(np.median(capacities)),
@@ -271,28 +265,27 @@ class TierGroup:
 
 
 def _tier_groups(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     countries: Sequence[str],
     min_users: int,
 ) -> list[TierGroup]:
     tiers = explicit_bins(CASE_STUDY_TIERS)
+    by_tier = tiers.index_of_array(users.capacity_down_mbps)
     groups = []
     for country in countries:
-        country_users = [u for u in users if u.country == country]
-        by_tier = tiers.group(
-            (u.capacity_down_mbps, u) for u in country_users
-        )
-        for tier in tiers:
-            members = by_tier.get(tier, [])
-            if len(members) < min_users:
+        in_country = users.country_mask(country)
+        for i, tier in enumerate(tiers):
+            members = in_country & (by_tier == i)
+            n_members = int(np.count_nonzero(members))
+            if n_members < min_users:
                 continue
-            utilizations = np.array([u.peak_utilization for u in members])
-            peaks = np.array([u.peak_no_bt_mbps for u in members])
+            utilizations = users.peak_utilization[members]
+            peaks = users.current("peak_no_bt_mbps")[members]
             groups.append(
                 TierGroup(
                     country=country,
                     tier=tier,
-                    n_users=len(members),
+                    n_users=n_members,
                     utilization_cdf=ecdf(utilizations),
                     mean_peak_utilization=float(np.mean(utilizations)),
                     median_peak_utilization=float(np.median(utilizations)),
@@ -316,7 +309,7 @@ class Figure8Result:
 
 
 def figure8(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     countries: Sequence[str] = CASE_STUDY_COUNTRIES,
     min_users: int = MIN_TIER_USERS,
 ) -> Figure8Result:
@@ -340,7 +333,7 @@ class Figure9Result:
 
 
 def figure9(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     countries: Sequence[str] = CASE_STUDY_COUNTRIES,
     min_users: int = MIN_TIER_USERS,
 ) -> Figure9Result:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.binning import LATENCY_BINS_MS, LOSS_BINS_FRACTION, Bin, explicit_bins
 from ..core.stats import ecdf
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..units import fraction_to_percent
 from .common import MatchedExperimentResult, demand_outcome, matched_experiment
@@ -70,7 +70,7 @@ _TABLE7_PAPER = {
 
 
 def table7(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "peak",
     include_bt: bool = False,
     confounders: Sequence[str] = _TABLE7_CONFOUNDERS,
@@ -82,17 +82,17 @@ def table7(
     usage without BitTorrent (Table 7 of the paper).
     """
     bins = explicit_bins(LATENCY_BINS_MS)
-    grouped = bins.group((u.latency_ms, u) for u in users)
+    grouped = bins.index_of_array(users.latency_ms)
     control_bin = bins[len(bins) - 1]
-    control = grouped.get(control_bin, [])
-    if not control:
+    control = users.select_users(grouped == len(bins) - 1)
+    if control.n_users == 0:
         raise AnalysisError("no users in the (512, 2048] ms control group")
     outcome = demand_outcome(metric, include_bt)
     rows = []
     for index in range(len(bins) - 1):
         treatment_bin = bins[index]
-        treatment = grouped.get(treatment_bin, [])
-        if not treatment:
+        treatment = users.select_users(grouped == index)
+        if treatment.n_users == 0:
             continue
         result = matched_experiment(
             f"{control_bin.label('ms')} vs {treatment_bin.label('ms')}",
@@ -112,8 +112,12 @@ def table7(
                 experiment=result,
             )
         )
-    sizes = tuple(len(grouped.get(b, [])) for b in bins)
-    return Table7Result(rows=tuple(rows), group_sizes=sizes)
+    return Table7Result(rows=tuple(rows), group_sizes=_group_sizes(grouped, bins))
+
+
+def _group_sizes(grouped: np.ndarray, bins) -> tuple[int, ...]:
+    """Users per bin, from per-user bin indices."""
+    return tuple(int(np.count_nonzero(grouped == i)) for i in range(len(bins)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +153,49 @@ class Figure11Result:
         return 1.0 - result.fraction_holds
 
 
-def _maybe_ecdf(values: list[float]) -> tuple[np.ndarray, np.ndarray] | None:
-    if len(values) < 5:
+def _maybe_ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    if values.size < 5:
         return None
-    return ecdf(np.array(values))
+    return ecdf(values)
 
 
-def figure11(users: Sequence[UserRecord]) -> Figure11Result:
+def _india_split(users: UserColumns, figure: int) -> tuple[np.ndarray, np.ndarray]:
+    """(India, rest) user masks; raises unless both are populated."""
+    india = users.country_mask("India")
+    if india.all() or not india.any():
+        raise AnalysisError(
+            f"figure {figure} needs Indian and non-Indian users"
+        )
+    return india, ~india
+
+
+def _measured(
+    users: UserColumns, field: str, flag: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """An optional follow-up measurement per user, and the mask of users
+    where it is present and non-zero (a zero is no measurement)."""
+    values = users.current(field)
+    return values, users.current(flag) & (values != 0)
+
+
+def figure11(users: UserColumns) -> Figure11Result:
     """India-vs-rest latency validation and demand comparison (Fig. 11)."""
-    india = [u for u in users if u.country == "India"]
-    other = [u for u in users if u.country != "India"]
-    if not india or not other:
-        raise AnalysisError("figure 11 needs Indian and non-Indian users")
+    india, other = _india_split(users, 11)
 
-    india_ndt = np.array([u.latency_ms for u in india])
-    other_ndt = np.array([u.latency_ms for u in other])
+    india_ndt = users.latency_ms[india]
+    other_ndt = users.latency_ms[other]
 
     # The 2014 follow-up (NDT re-measurement and web probes) covers the
     # subset of users that were still reachable.
-    india_ndt14 = [u.ndt_2014_latency_ms for u in india if u.ndt_2014_latency_ms]
-    other_ndt14 = [u.ndt_2014_latency_ms for u in other if u.ndt_2014_latency_ms]
-    india_web = [u.web_latency_ms for u in india if u.web_latency_ms]
-    other_web = [u.web_latency_ms for u in other if u.web_latency_ms]
+    ndt14, has_ndt14 = _measured(
+        users, "ndt_2014_latency_ms", "has_ndt_2014_latency"
+    )
+    web, has_web = _measured(users, "web_latency_ms", "has_web_latency")
 
-    us_users = [u for u in users if u.country == "US"]
     india_vs_us = matched_experiment(
         "US (control) vs India (treatment) demand",
-        us_users,
-        india,
+        users.select_users(users.country_mask("US")),
+        users.select_users(india),
         confounders=("capacity",),
         outcome=demand_outcome("peak", include_bt=False),
         hypothesis="Indian users demand more than capacity-matched US users",
@@ -185,10 +204,10 @@ def figure11(users: Sequence[UserRecord]) -> Figure11Result:
     return Figure11Result(
         india_ndt_cdf=ecdf(india_ndt),
         other_ndt_cdf=ecdf(other_ndt),
-        india_ndt14_cdf=_maybe_ecdf(india_ndt14),
-        other_ndt14_cdf=_maybe_ecdf(other_ndt14),
-        india_web_cdf=_maybe_ecdf(india_web),
-        other_web_cdf=_maybe_ecdf(other_web),
+        india_ndt14_cdf=_maybe_ecdf(ndt14[india & has_ndt14]),
+        other_ndt14_cdf=_maybe_ecdf(ndt14[other & has_ndt14]),
+        india_web_cdf=_maybe_ecdf(web[india & has_web]),
+        other_web_cdf=_maybe_ecdf(web[other & has_web]),
         india_median_ndt_ms=float(np.median(india_ndt)),
         other_median_ndt_ms=float(np.median(other_ndt)),
         share_india_above_100ms=float(np.mean(india_ndt > 100.0)),
@@ -220,27 +239,28 @@ class Table8Result:
 
 
 def table8(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     metric: str = "mean",
     include_bt: bool = False,
     confounders: Sequence[str] = _TABLE8_CONFOUNDERS,
 ) -> Table8Result:
     """Does decreasing packet loss raise average demand? (Table 8)."""
     bins = explicit_bins(LOSS_BINS_FRACTION)
-    grouped = bins.group((u.loss_fraction, u) for u in users)
+    grouped = bins.index_of_array(users.loss_fraction)
     outcome = demand_outcome(metric, include_bt)
     rows = []
     for control_edges, treatment_edges, paper in _TABLE8_LAYOUT:
-        control_bin = bins.bin_of(
+        control_index = bins.index_of(
             (control_edges[0] + control_edges[1]) / 2.0
         )
-        treatment_bin = bins.bin_of(
+        treatment_index = bins.index_of(
             (treatment_edges[0] + treatment_edges[1]) / 2.0
         )
-        assert control_bin is not None and treatment_bin is not None
-        control = grouped.get(control_bin, [])
-        treatment = grouped.get(treatment_bin, [])
-        if not control or not treatment:
+        assert control_index is not None and treatment_index is not None
+        control_bin, treatment_bin = bins[control_index], bins[treatment_index]
+        control = users.select_users(grouped == control_index)
+        treatment = users.select_users(grouped == treatment_index)
+        if control.n_users == 0 or treatment.n_users == 0:
             continue
         label = (
             f"({fraction_to_percent(control_bin.low):g}%, "
@@ -266,8 +286,7 @@ def table8(
                 experiment=result,
             )
         )
-    sizes = tuple(len(grouped.get(b, [])) for b in bins)
-    return Table8Result(rows=tuple(rows), group_sizes=sizes)
+    return Table8Result(rows=tuple(rows), group_sizes=_group_sizes(grouped, bins))
 
 
 @dataclass(frozen=True)
@@ -280,23 +299,14 @@ class Figure12Result:
     other_median_loss_pct: float
 
 
-def figure12(users: Sequence[UserRecord]) -> Figure12Result:
+def figure12(users: UserColumns) -> Figure12Result:
     """India-vs-rest packet loss (Fig. 12)."""
-    india = [
-        fraction_to_percent(u.loss_fraction)
-        for u in users
-        if u.country == "India"
-    ]
-    other = [
-        fraction_to_percent(u.loss_fraction)
-        for u in users
-        if u.country != "India"
-    ]
-    if not india or not other:
-        raise AnalysisError("figure 12 needs Indian and non-Indian users")
+    india_mask, other_mask = _india_split(users, 12)
+    loss_pct = fraction_to_percent(users.loss_fraction)
+    india, other = loss_pct[india_mask], loss_pct[other_mask]
     return Figure12Result(
-        india_loss_pct_cdf=ecdf(np.array(india)),
-        other_loss_pct_cdf=ecdf(np.array(other)),
+        india_loss_pct_cdf=ecdf(india),
+        other_loss_pct_cdf=ecdf(other),
         india_median_loss_pct=float(np.median(india)),
         other_median_loss_pct=float(np.median(other)),
     )

@@ -52,8 +52,9 @@ class Experiment:
 
     key: str
     compute: Callable[..., Any]
-    #: What ``compute`` takes, in order: world slices (``dasu``,
-    #: ``fcc``, ``survey``) or the sweep scenario's ``iqb_config``.
+    #: What ``compute`` takes, in order: world slices (the ``dasu`` and
+    #: ``fcc`` user columns, the ``survey``) or the sweep scenario's
+    #: ``iqb_config``.
     inputs: tuple[str, ...] = ("dasu",)
     #: Optional datasets without which there is nothing to compute.
     needs: tuple[str, ...] = ()
@@ -64,8 +65,17 @@ class Experiment:
     verdicts: Callable[[Any], Sequence[Row]] | None = None
 
     def missing(self, **data) -> str | None:
-        """The first needed dataset that ``data`` lacks or has empty."""
-        return next((name for name in self.needs if not data.get(name)), None)
+        """The first needed dataset that ``data`` lacks or has empty (a
+        user panel with no users)."""
+        return next(
+            (
+                name
+                for name in self.needs
+                if data.get(name) is None
+                or getattr(data[name], "n_users", None) == 0
+            ),
+            None,
+        )
 
     def run(self, **data) -> Any:
         """The compute call over ``data`` (missing inputs are ``None``),

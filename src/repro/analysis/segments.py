@@ -19,15 +19,21 @@ Segments (by measured features of the current period):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from ..datasets.records import UserRecord
-from ..exceptions import AnalysisError
 from ..core.stats import percentile
+from ..datasets.columns import UserColumns
+from ..exceptions import AnalysisError
 
-__all__ = ["SEGMENTS", "SegmentProfile", "SegmentationResult", "classify_user", "segment_users"]
+__all__ = [
+    "SEGMENTS",
+    "SegmentProfile",
+    "SegmentationResult",
+    "classify_users",
+    "segment_users",
+]
 
 SEGMENTS = ("light", "bursty", "sustained", "bulk")
 
@@ -37,14 +43,29 @@ _LIGHT_PEAK_MBPS = 0.05
 _SUSTAINED_RATIO = 0.25
 
 
-def classify_user(user: UserRecord) -> str:
-    """Assign one user to a segment from measured behavior only."""
-    if user.bt_user:
-        return "bulk"
-    if user.peak_no_bt_mbps < _LIGHT_PEAK_MBPS:
-        return "light"
-    ratio = user.mean_no_bt_mbps / user.peak_no_bt_mbps
-    return "sustained" if ratio >= _SUSTAINED_RATIO else "bursty"
+def classify_users(users: UserColumns) -> np.ndarray:
+    """Assign every user to a segment from measured behavior only."""
+    peak = users.current("peak_no_bt_mbps")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = users.current("mean_no_bt_mbps") / peak
+    # The first condition that holds wins: BitTorrent, light, sustained.
+    conditions = [
+        users.current("bt_user"),
+        peak < _LIGHT_PEAK_MBPS,
+        ratio >= _SUSTAINED_RATIO,
+    ]
+    return np.select(conditions, ["bulk", "light", "sustained"], "bursty")
+
+
+def _switched_service(users: UserColumns) -> np.ndarray:
+    """Per user: seen on more than one network (ISP, prefix, city)."""
+    rows = users.rows
+    starts = np.repeat(users.user_starts, users.user_counts)
+    differs = np.zeros(users.n_rows, dtype=bool)
+    for field in ("isp", "prefix", "city"):
+        differs |= rows[field] != rows[field][starts]
+    owner = np.repeat(np.arange(users.n_users), users.user_counts)
+    return np.bincount(owner[differs], minlength=users.n_users) > 0
 
 
 @dataclass(frozen=True)
@@ -76,32 +97,32 @@ class SegmentationResult:
         return {p.segment: p.n_users / total for p in self.profiles}
 
 
-def segment_users(users: Sequence[UserRecord]) -> SegmentationResult:
+def segment_users(users: UserColumns) -> SegmentationResult:
     """Segment a population and profile each segment."""
-    if not users:
+    if users.n_users == 0:
         raise AnalysisError("cannot segment an empty population")
-    assignments = {u.user_id: classify_user(u) for u in users}
+    segments = classify_users(users)
+    assignments = dict(zip(users.user_ids.tolist(), segments.tolist()))
+    switched = _switched_service(users)
     profiles = []
     for segment in SEGMENTS:
-        members = [u for u in users if assignments[u.user_id] == segment]
-        if not members:
+        members = segments == segment
+        if not members.any():
             continue
         profiles.append(
             SegmentProfile(
                 segment=segment,
-                n_users=len(members),
+                n_users=int(np.count_nonzero(members)),
                 median_capacity_mbps=percentile(
-                    [u.capacity_down_mbps for u in members], 50.0
+                    users.capacity_down_mbps[members], 50.0
                 ),
                 median_peak_mbps=percentile(
-                    [u.peak_no_bt_mbps for u in members], 50.0
+                    users.current("peak_no_bt_mbps")[members], 50.0
                 ),
                 mean_peak_utilization=float(
-                    np.mean([u.peak_utilization for u in members])
+                    np.mean(users.peak_utilization[members])
                 ),
-                share_switched_service=float(
-                    np.mean([u.switched_service for u in members])
-                ),
+                share_switched_service=float(np.mean(switched[members])),
             )
         )
     return SegmentationResult(

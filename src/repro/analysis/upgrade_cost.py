@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.binning import UPGRADE_COST_BINS_USD, explicit_bins
 from ..core.stats import ecdf
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..market.economy import TABLE5_REGIONS
 from ..market.survey import PlanSurvey
@@ -174,7 +174,7 @@ _TABLE6_CONFOUNDERS = ("capacity", "latency", "loss", "price_of_access")
 
 
 def table6(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     include_bt: bool = True,
     metric: str = "mean",
     confounders: Sequence[str] = _TABLE6_CONFOUNDERS,
@@ -185,16 +185,12 @@ def table6(
     markets are the control in each comparison. Outcome is average demand
     (the paper's Table 6 uses mean usage, with and without BitTorrent).
     """
-    bins = explicit_bins(UPGRADE_COST_BINS_USD)
-    groups: list[list[UserRecord]] = [[], [], []]
-    for user in users:
-        if user.upgrade_cost_usd_per_mbps is None:
-            continue
-        index = bins.index_of(user.upgrade_cost_usd_per_mbps)
-        if index is not None:
-            groups[index].append(user)
-    low, mid, high = groups
-    if not mid:
+    # A missing upgrade cost is NaN, which no class holds.
+    groups = explicit_bins(UPGRADE_COST_BINS_USD).index_of_array(
+        users.upgrade_cost_usd_per_mbps
+    )
+    low, mid, high = (users.select_users(groups == i) for i in range(3))
+    if mid.n_users == 0:
         raise AnalysisError("no users in the middle upgrade-cost class")
     outcome = demand_outcome(metric, include_bt)
     return Table6Result(
@@ -215,5 +211,5 @@ def table6(
             outcome,
             hypothesis="a higher upgrade cost increases demand",
         ),
-        group_sizes=(len(low), len(mid), len(high)),
+        group_sizes=(low.n_users, mid.n_users, high.n_users),
     )

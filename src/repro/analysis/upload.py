@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from .common import MatchedExperimentResult, matched_experiment
 
@@ -36,23 +36,19 @@ class UploadAsymmetry:
     median_ratio_non_bt: float | None
 
 
-def _ratio(user: UserRecord) -> float | None:
-    if user.mean_up_mbps is None or user.mean_mbps <= 0:
-        return None
-    return user.mean_up_mbps / user.mean_mbps
-
-
-def upload_asymmetry(users: Sequence[UserRecord]) -> UploadAsymmetry:
+def upload_asymmetry(users: UserColumns) -> UploadAsymmetry:
     """Summarize the up/down volume asymmetry of a population."""
-    ratios = [(u, _ratio(u)) for u in users]
-    ratios = [(u, r) for u, r in ratios if r is not None]
-    if not ratios:
+    up = users.current("mean_up_mbps")
+    down = users.current("mean_mbps")
+    # A NaN downlink mean (dirty data) is not <= 0: it stays, as NaN.
+    measured = users.current("has_mean_up") & ~(down <= 0)
+    if not measured.any():
         raise AnalysisError("no users carry upload measurements")
-    values = np.array([r for _, r in ratios])
-    bt = np.array([r for u, r in ratios if u.bt_user])
-    non_bt = np.array([r for u, r in ratios if not u.bt_user])
+    values = up[measured] / down[measured]
+    bt_user = users.current("bt_user")[measured]
+    bt, non_bt = values[bt_user], values[~bt_user]
     return UploadAsymmetry(
-        n_users=len(ratios),
+        n_users=int(values.size),
         median_ratio=float(np.median(values)),
         p90_ratio=float(np.percentile(values, 90)),
         median_ratio_bt=float(np.median(bt)) if bt.size else None,
@@ -61,20 +57,21 @@ def upload_asymmetry(users: Sequence[UserRecord]) -> UploadAsymmetry:
 
 
 def seeding_experiment(
-    users: Sequence[UserRecord],
+    users: UserColumns,
     confounders: Sequence[str] = ("capacity", "latency", "loss"),
 ) -> MatchedExperimentResult:
     """Do BitTorrent households upload more than matched non-BT ones?"""
-    measured = [u for u in users if u.mean_up_mbps is not None]
-    non_bt = [u for u in measured if not u.bt_user]
-    bt = [u for u in measured if u.bt_user]
-    if not non_bt or not bt:
+    measured = users.current("has_mean_up")
+    bt_user = users.current("bt_user")
+    non_bt = users.select_users(measured & ~bt_user)
+    bt = users.select_users(measured & bt_user)
+    if non_bt.n_users == 0 or bt.n_users == 0:
         raise AnalysisError("need both BT and non-BT users with uploads")
     return matched_experiment(
         "non-BT (control) vs BT (treatment) upload",
         control=non_bt,
         treatment=bt,
         confounders=confounders,
-        outcome=lambda u: float(u.mean_up_mbps),
+        outcome=lambda pool: pool.current("mean_up_mbps"),
         hypothesis="BitTorrent seeding raises upload volume",
     )

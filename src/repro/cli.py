@@ -520,7 +520,7 @@ def _iqb(args: argparse.Namespace) -> int:
                 )
             if world.ledger is not None:
                 ledger.merge(world.ledger)
-            dasu, fcc = world.dasu.users, world.fcc.users
+            dasu, fcc = world.dasu.columns, world.fcc.columns
         text = format_iqb_report(dasu, fcc, iqb_config)
         payload = iqb_payload(dasu, fcc, iqb_config)
     if args.out:

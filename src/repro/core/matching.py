@@ -57,7 +57,7 @@ ZERO_FLOOR = 1e-6
 
 #: Floor applied to *loss rates* before they enter the matching space, so
 #: that two effectively loss-free lines count as similar. This is the
-#: single source of truth for the loss floor — the confounder extractors
+#: single source of truth for the loss floor — the confounder columns
 #: in :mod:`repro.analysis.common` import it from here. It must dominate
 #: :data:`ZERO_FLOOR`: the matcher floors every confounder at
 #: ``ZERO_FLOOR`` as a last resort, and a loss floor below it would be
@@ -86,7 +86,7 @@ def caliper_compatible(a: float, b: float, caliper: float = DEFAULT_CALIPER) -> 
     rather than silently falling through the comparisons: a NaN here
     means an upstream eligibility filter failed (missing market
     covariates surface as NaN — see
-    :func:`repro.analysis.common._market_value` — and must be excluded
+    :func:`repro.analysis.common.eligibility_mask` — and must be excluded
     *before* matching), and an infinity is equally meaningless — two
     ``inf`` values would satisfy ``inf <= 1.25 * inf`` and "match"
     despite carrying no information about similarity.
@@ -158,7 +158,7 @@ def _confounder_matrix(
 
 def _log_confounder_column(values: np.ndarray, label: str) -> np.ndarray:
     """Validate one confounder column (finite, non-negative) and take it
-    to log space; shared by the object and columnar matching paths."""
+    to log space; shared by both matching entry points."""
     invalid = ~np.isfinite(values) | (values < 0)
     if invalid.any():
         value = float(values[int(np.argmax(invalid))])
@@ -235,14 +235,16 @@ def match_pairs_arrays(
     caliper: float = DEFAULT_CALIPER,
     max_pairs: int | None = None,
 ) -> MatchingSummary[int, int]:
-    """Columnar twin of :func:`match_pairs`: one array per confounder.
+    """Match two pools given as confounder columns: the analyses' entry
+    point.
 
     Each sequence holds one 1-D float array per confounder (all the same
     length within a pool); the returned pairs carry *indices* into the
-    pools instead of unit objects. Given the same values in the same
-    order, the accepted (control, treatment) index pairs — and the
-    run-ledger accounting — are identical to the object path's, because
-    both run the same validated log-space greedy core.
+    pools. :func:`match_pairs` is the same matcher over unit objects and
+    extractor callables: given the same values in the same order, both
+    accept the same (control, treatment) pairs with the same run-ledger
+    accounting, because both run the same validated log-space greedy
+    core.
     """
     if not control_confounders or not treatment_confounders:
         raise MatchingError("at least one confounder is required")
@@ -375,7 +377,7 @@ def _greedy_index_pairs(
     triples (in acceptance order) and the caliper-compatible candidate
     count. The ``lexsort`` tie-break on (distance, control, treatment)
     makes the result a pure function of the matrices, which is what lets
-    the object and columnar paths guarantee identical pairs.
+    both matching entry points guarantee identical pairs.
     """
     limit = math.log(1.0 + caliper)
     bound = limit + 1e-12

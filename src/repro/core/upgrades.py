@@ -23,6 +23,7 @@ __all__ = [
     "UpgradeObservation",
     "detect_switches",
     "slow_fast_observation",
+    "slow_fast_stays",
 ]
 
 #: Minimum capacity ratio between two stays for the pair to count as a
@@ -163,6 +164,30 @@ def detect_switches(
     return switches
 
 
+def slow_fast_stays(
+    capacities: Sequence[float],
+    networks: Sequence[object],
+    min_capacity_ratio: float = MIN_CAPACITY_RATIO,
+) -> tuple[int, int] | None:
+    """Indices of one user's slowest and fastest stays (the first of
+    each), if meaningfully different.
+
+    ``capacities`` and ``networks`` describe the stays in order; returns
+    ``None`` when there are fewer than two, when the slowest and fastest
+    share a network, or when their capacity spread does not reach
+    ``min_capacity_ratio``.
+    """
+    if len(capacities) < 2:
+        return None
+    slow = capacities.index(min(capacities))
+    fast = capacities.index(max(capacities))
+    if networks[slow] == networks[fast]:
+        return None
+    if capacities[fast] / capacities[slow] < min_capacity_ratio:
+        return None
+    return slow, fast
+
+
 def slow_fast_observation(
     periods: Iterable[ServicePeriod],
     min_capacity_ratio: float = MIN_CAPACITY_RATIO,
@@ -173,15 +198,15 @@ def slow_fast_observation(
     the capacity spread does not reach ``min_capacity_ratio``.
     """
     stays = list(periods)
-    if len(stays) < 2:
-        return None
     users = {p.user_id for p in stays}
-    if len(users) != 1:
+    if len(users) > 1:
         raise AnalysisError(f"periods span multiple users: {sorted(users)}")
-    slow = min(stays, key=lambda p: p.capacity_mbps)
-    fast = max(stays, key=lambda p: p.capacity_mbps)
-    if slow.network == fast.network:
+    pair = slow_fast_stays(
+        [p.capacity_mbps for p in stays],
+        [p.network for p in stays],
+        min_capacity_ratio,
+    )
+    if pair is None:
         return None
-    if fast.capacity_mbps / slow.capacity_mbps < min_capacity_ratio:
-        return None
+    slow, fast = stays[pair[0]], stays[pair[1]]
     return UpgradeObservation(user_id=slow.user_id, slow=slow, fast=fast)

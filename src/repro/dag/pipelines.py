@@ -46,6 +46,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..datasets.cache import WorldCache, build_or_load_world, cache_key
+from ..datasets.columns import UserColumns
 from ..datasets.io import (
     config_from_payload,
     config_payload,
@@ -86,10 +87,11 @@ class FileBundle:
 
 @dataclass(frozen=True)
 class DatasetTriple:
-    """A loaded dataset directory: the ``load-data`` kind's artifact."""
+    """A loaded dataset directory: the ``load-data`` kind's artifact
+    (user columns per source, and the plan survey or ``None``)."""
 
-    dasu: tuple
-    fcc: tuple
+    dasu: UserColumns
+    fcc: UserColumns
     survey: Any
 
 
@@ -164,8 +166,7 @@ def _build_fingerprint(world: World) -> str:
 def _load_data_kind(config: dict, inputs: dict, ctx) -> DatasetTriple:
     if ctx.data_dir is None:
         raise DagError("the load-data kind needs RunContext.data_dir")
-    dasu, fcc, survey = load_dataset_dir(ctx.data_dir)
-    return DatasetTriple(dasu=tuple(dasu), fcc=tuple(fcc), survey=survey)
+    return DatasetTriple(*load_dataset_dir(ctx.data_dir))
 
 
 def _report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
@@ -178,7 +179,7 @@ def _report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
         )
     (data,) = inputs.values()
     if isinstance(data, World):
-        dasu, fcc, survey = data.dasu.users, data.fcc.users, data.survey
+        dasu, fcc, survey = data.dasu.columns, data.fcc.columns, data.survey
     elif isinstance(data, DatasetTriple):
         dasu, fcc, survey = data.dasu, data.fcc, data.survey
     else:
@@ -245,29 +246,21 @@ def _world_slice_kind(config: dict, inputs: dict, ctx) -> WorldSlice:
     name = str(config["slice"])
     (data,) = inputs.values()
     if isinstance(data, World):
-        dasu, fcc, survey = data.dasu, data.fcc, data.survey
-        if name == "dasu":
+        if name in ("dasu", "fcc"):
+            columns = getattr(data, name).columns
             return WorldSlice(
                 name=name,
-                data=dasu.users,
+                data=columns,
                 digest=hashlib.sha256(
-                    np.ascontiguousarray(dasu.columns.rows).tobytes()
-                ).hexdigest(),
-            )
-        if name == "fcc":
-            return WorldSlice(
-                name=name,
-                data=fcc.users,
-                digest=hashlib.sha256(
-                    np.ascontiguousarray(fcc.columns.rows).tobytes()
+                    np.ascontiguousarray(columns.rows).tobytes()
                 ).hexdigest(),
             )
         if name == "survey":
             return WorldSlice(
                 name=name,
-                data=survey,
+                data=data.survey,
                 digest=hashlib.sha256(
-                    survey_csv_text(survey).encode("utf-8")
+                    survey_csv_text(data.survey).encode("utf-8")
                 ).hexdigest(),
             )
         raise DagError(f"unknown world slice {name!r}")
@@ -300,7 +293,7 @@ def _report_fragment_kind(config: dict, inputs: dict, ctx) -> dict:
         slices[value.name] = value.data
     text, error = render_fragment(
         key,
-        dasu=slices.get("dasu", ()),
+        dasu=slices.get("dasu"),
         fcc=slices.get("fcc"),
         survey=slices.get("survey"),
     )
@@ -334,8 +327,8 @@ def _report_assemble_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     survey = slices["survey"].data
     text = assemble_report(
         fragments,
-        n_dasu=len(slices["dasu"].data),
-        n_fcc=len(slices["fcc"].data),
+        n_dasu=slices["dasu"].data.n_users,
+        n_fcc=slices["fcc"].data.n_users,
         n_plans=None if survey is None else survey.n_plans,
     )
     return FileBundle(files={"report.txt": text + "\n"})

@@ -1,13 +1,15 @@
 """Columnar data plane: user records as numpy structured arrays.
 
-The object path (:class:`~repro.datasets.records.UserRecord` lists) is
-pleasant to program against but caps practical world size: a million
-households means tens of millions of Python objects shuttled through
-worker pickles, parent lists, and per-user analysis loops. This module
-holds the same information as **one structured array per dataset** — one
-row per (user, service period), user-level covariates repeated per row,
-exactly like ``users.csv`` — and the hot paths (builder, cache, binning,
-matching, eligibility filtering) operate on whole columns.
+Every dataset the analyses read is **one structured array** — one row
+per (user, service period), user-level covariates repeated per row,
+exactly like ``users.csv``. The builder, the cache, binning, matching,
+eligibility filtering and every experiment of the evaluation operate on
+whole columns; a million households stay a few arrays instead of tens
+of millions of Python objects shuttled through worker pickles.
+:class:`~repro.datasets.records.UserRecord` lists remain the builder's
+and the sanitizer's per-household unit and the input format for
+hand-assembled datasets, which convert once with
+:meth:`UserColumns.from_records`.
 
 Representation contract
 -----------------------
@@ -444,10 +446,13 @@ class UserColumns:
     @property
     def user_ids(self) -> np.ndarray:
         """Per-user ids, decoded to ``str``."""
-        return self.current("user_id").astype(str)
+        return np.char.decode(self.current("user_id"), "utf-8")
 
     def source_mask(self, source: str) -> np.ndarray:
         return self.current("source") == source.encode("utf-8")
+
+    def country_mask(self, country: str) -> np.ndarray:
+        return self.current("country") == country.encode("utf-8")
 
     @property
     def capacity_down_mbps(self) -> np.ndarray:
@@ -475,7 +480,7 @@ class UserColumns:
         return self.current("gdp_per_capita_usd")
 
     def demand(self, metric: str = "peak", include_bt: bool = False) -> np.ndarray:
-        """Vectorized twin of :meth:`UserRecord.demand`."""
+        """Per-user current-period demand, as :meth:`UserRecord.demand`."""
         if metric not in ("peak", "mean"):
             raise DatasetError(f"unknown demand metric {metric!r}")
         field = f"{metric}_mbps" if include_bt else f"{metric}_no_bt_mbps"
@@ -483,8 +488,10 @@ class UserColumns:
 
     @property
     def peak_utilization(self) -> np.ndarray:
-        """Vectorized twin of :meth:`UserRecord.peak_utilization`."""
-        return np.minimum(
+        """Per-user peak utilization, clipped to 1, as
+        :meth:`UserRecord.peak_utilization` (``fmin``: a NaN peak clips
+        to 1, like the scalar ``min``)."""
+        return np.fmin(
             1.0, self.current("peak_no_bt_mbps") / self.capacity_down_mbps
         )
 
@@ -499,6 +506,26 @@ class UserColumns:
                 f"user mask has shape {mask.shape}, expected ({self.n_users},)"
             )
         return UserColumns(self._rows[np.repeat(mask, self.user_counts)])
+
+    def take(self, users: np.ndarray) -> "UserColumns":
+        """A new dataset of the users at positions ``users``, in that
+        order, each user's rows whole and in order."""
+        users = np.asarray(users, dtype=np.int64)
+        starts, counts = self._index()
+        counts = counts[users]
+        offsets = np.repeat(starts[users] - (np.cumsum(counts) - counts), counts)
+        return UserColumns(self._rows[offsets + np.arange(int(counts.sum()))])
+
+    def service_period(self, row: int) -> ServicePeriod:
+        """Row ``row`` as a :class:`~repro.core.upgrades.ServicePeriod`."""
+        values = self._rows[row]
+        return ServicePeriod(
+            user_id=values["user_id"].decode("utf-8"),
+            network=NetworkId(
+                *(values[f].decode("utf-8") for f in _NETWORK_STRINGS)
+            ),
+            **{f: float(values[f]) for f in _PERIOD_FLOATS},
+        )
 
     # -- object views -----------------------------------------------------
 

@@ -524,12 +524,14 @@ def read_config_json(path: str | Path) -> WorldConfig:
 
 def load_dataset_dir(
     data_dir: str | Path,
-) -> tuple[list[UserRecord], list[UserRecord], PlanSurvey | None]:
+) -> tuple[UserColumns, UserColumns, PlanSurvey | None]:
     """``(dasu, fcc, survey)`` from a directory written by ``repro build``
-    (``survey`` is ``None`` without a ``survey.csv``).
+    (``survey`` is ``None`` without a ``survey.csv``), users in
+    ``user_id`` order either way.
 
-    A readable ``users.npy`` shard is the fast path: no CSV parsing and
-    full-precision hourly profiles (the CSV stores them at %.6g)."""
+    A readable ``users.npy`` shard is the fast path: no CSV parsing, no
+    records, and full-precision hourly profiles (the CSV stores them at
+    %.6g)."""
     data_dir = Path(data_dir)
     users = None
     npy_path = data_dir / "users.npy"
@@ -538,16 +540,18 @@ def load_dataset_dir(
             columns = read_users_npy(npy_path)
         except DatasetError:
             columns = None  # unreadable/foreign shard: fall back to CSV
-        if columns is not None:  # in read_users_csv's (user_id) order
-            users = sorted(columns.to_records(), key=lambda u: u.user_id)
+        if columns is not None:  # into read_users_csv's (user_id) order
+            users = columns.take(
+                np.argsort(columns.current("user_id"), kind="stable")
+            )
     if users is None:
         users_path = data_dir / "users.csv"
         if not users_path.exists():
             raise DatasetError(f"no users.csv under {data_dir}")
-        users = read_users_csv(users_path)
+        users = UserColumns.from_records(read_users_csv(users_path))
     survey_path = data_dir / "survey.csv"
     return (
-        [u for u in users if u.source == "dasu"],
-        [u for u in users if u.source == "fcc"],
+        users.select_users(users.source_mask("dasu")),
+        users.select_users(users.source_mask("fcc")),
         read_survey_csv(survey_path) if survey_path.exists() else None,
     )

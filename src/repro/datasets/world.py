@@ -91,12 +91,12 @@ class _ColumnarDataset:
     other representation lazily.
 
     The builder and cache hand over :class:`~repro.datasets.columns.
-    UserColumns`; hand-assembled worlds (tests, synthetic fixtures)
-    keep passing record tuples. ``users`` stays the compatibility
-    surface — the long tail of analysis callers iterates it unchanged —
-    while hot paths read ``columns`` directly. Records read from the
-    columns remember them, so converting ``users`` back to columns
-    returns ``columns`` itself.
+    UserColumns`; hand-assembled worlds (tests, synthetic fixtures) may
+    pass record tuples instead. ``columns`` is what every analysis
+    reads; ``users`` materializes records only for callers that want
+    per-household objects (the builder's checks, tests). Records read
+    from the columns remember them, so converting ``users`` back to
+    columns returns ``columns`` itself.
 
     Two datasets are equal when their ``columns.rows`` are equal byte
     for byte. That is NaN-safe (an hourly profile holds NaN for
@@ -155,13 +155,6 @@ class DasuDataset(_ColumnarDataset):
     """The simulated Dasu dataset: global, end-host collected."""
 
     __slots__ = ()
-
-    def by_country(self, country: str) -> tuple[UserRecord, ...]:
-        return tuple(u for u in self.users if u.country == country)
-
-    @property
-    def countries(self) -> tuple[str, ...]:
-        return tuple(sorted({u.country for u in self.users}))
 
 
 class FccDataset(_ColumnarDataset):

@@ -170,11 +170,9 @@ class ReportService:
         from ..analysis.iqb import iqb_payload
 
         world = result.artifact("world")
-        # The dasu records are the ones the fragments' world slice
-        # already read; they carry their columns, so nothing converts.
         iqb_json = (
             json.dumps(
-                iqb_payload(world.dasu.users, world.fcc.columns),
+                iqb_payload(world.dasu.columns, world.fcc.columns),
                 indent=2,
                 sort_keys=True,
             )

@@ -148,22 +148,20 @@ def _headline(
     """Fixed-order summary statistics of a cell's Dasu panel.
 
     The reductions are applied to sorted values: a cache-loaded world
-    carries the same user records as a fresh build but in a different
-    order, and float summation is order-sensitive at the ULP level —
-    sorting first keeps hit and miss cells exactly equal.
+    carries the same users as a fresh build but in a different order,
+    and float summation is order-sensitive at the ULP level — sorting
+    first keeps hit and miss cells exactly equal.
     """
     from ..analysis.iqb import resolve_iqb_config, score_columns
 
-    users = world.dasu.users
-    if not users:
+    users = world.dasu.columns
+    if users.n_users == 0:
         return ()
-    capacity = np.sort([u.capacity_down_mbps for u in users])
-    peak = np.sort([u.demand("peak", False) for u in users])
-    utilization = np.sort([u.peak_utilization for u in users])
+    capacity = np.sort(users.capacity_down_mbps)
+    peak = np.sort(users.demand("peak", False))
+    utilization = np.sort(users.peak_utilization)
     composite = np.sort(
-        score_columns(
-            world.dasu.columns, resolve_iqb_config(iqb_config)
-        ).composite
+        score_columns(users, resolve_iqb_config(iqb_config)).composite
     )
     return (
         ("median_capacity_mbps", float(np.median(capacity))),
@@ -183,7 +181,7 @@ def _run_cell(task: _CellTask) -> tuple[CellResult, bool]:
         for key in task.experiments:
             try:
                 rows = run_experiment(
-                    key, world.dasu.users, iqb_config=task.iqb_config
+                    key, world.dasu.columns, iqb_config=task.iqb_config
                 )
             except AnalysisError:
                 skipped.append(key)

@@ -3,8 +3,8 @@
 A view of :mod:`repro.analysis.registry`: every registry experiment
 with verdict rows is sweep-runnable, under its group name and in
 registry order, so a sweep's report always lists experiments in the
-paper's table order. A runner takes a built world's Dasu users (and
-the scenario's IQB config) and returns the experiment's rows as
+paper's table order. A runner takes a built world's Dasu user columns
+(and the scenario's IQB config) and returns the experiment's rows as
 :class:`VerdictRow` records — the verdict (significant *and*
 practically important, the paper's bar) plus the raw "% H holds"
 behind it.
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from ..analysis.registry import SWEEP, Experiment
 from ..core.experiments import ExperimentResult
-from ..datasets.records import UserRecord
+from ..datasets.columns import UserColumns
 from ..exceptions import SweepError
 
 __all__ = [
@@ -73,7 +73,7 @@ class VerdictRow:
 def _runner(
     name: str, experiments: Sequence[Experiment]
 ) -> Callable[..., list[VerdictRow]]:
-    def run(users: Sequence[UserRecord], iqb_config=None) -> list[VerdictRow]:
+    def run(users: UserColumns, iqb_config=None) -> list[VerdictRow]:
         rows: list[VerdictRow] = []
         for experiment in experiments:
             result = experiment.run(dasu=users, iqb_config=iqb_config)
@@ -112,7 +112,7 @@ def check_experiments(keys: Sequence[str]) -> tuple[str, ...]:
 
 
 def run_experiment(
-    key: str, users: Sequence[UserRecord], iqb_config=None
+    key: str, users: UserColumns, iqb_config=None
 ) -> list[VerdictRow]:
     """Run one sweep experiment (a key :func:`check_experiments`
     passed) over a cell's Dasu users; ``iqb_config`` (a preset name,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import capacity
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 
 
@@ -66,7 +67,7 @@ class TestFigure3:
 
     def test_requires_both_datasets(self, dasu_users):
         with pytest.raises(AnalysisError):
-            capacity.figure3(dasu_users, [])
+            capacity.figure3(dasu_users, UserColumns.empty())
 
 
 class TestTable1:
@@ -96,7 +97,7 @@ class TestTable1:
 
     def test_empty_users_rejected(self):
         with pytest.raises(AnalysisError):
-            capacity.table1([])
+            capacity.table1(UserColumns.empty())
 
 
 class TestFigure4:

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.caps import caps_experiment
 from repro.analysis.diurnal import DiurnalProfile, population_diurnal_profile
 from repro.behavior.demand import cap_awareness_multiplier
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError, DatasetError
 
 
@@ -72,7 +73,7 @@ class TestCapsExperiment:
 
     def test_empty_population_rejected(self):
         with pytest.raises(AnalysisError):
-            caps_experiment([])
+            caps_experiment(UserColumns.empty())
 
 
 class TestDiurnalProfile:
@@ -85,8 +86,8 @@ class TestDiurnalProfile:
         assert profile.peak_to_trough_ratio > 1.5
 
     def test_dasu_coverage_is_evening_biased(self, small_world):
-        dasu = population_diurnal_profile(small_world.dasu.users)
-        fcc = population_diurnal_profile(small_world.fcc.users)
+        dasu = population_diurnal_profile(small_world.dasu.columns)
+        fcc = population_diurnal_profile(small_world.fcc.columns)
         assert dasu.coverage_bias() > fcc.coverage_bias()
         assert fcc.coverage_bias() == pytest.approx(1.0, abs=0.05)
 
@@ -104,17 +105,18 @@ class TestDiurnalProfile:
 
     def test_empty_population_rejected(self):
         with pytest.raises(AnalysisError):
-            population_diurnal_profile([])
+            population_diurnal_profile(UserColumns.empty())
 
 
 class TestHourlyProfileStorage:
-    def test_profiles_present_on_records(self, dasu_users):
+    def test_profiles_present_on_records(self, small_world):
+        users = small_world.dasu.users
         with_profiles = [
             u
-            for u in dasu_users
+            for u in users
             if u.current.hourly_mean_mbps is not None
         ]
-        assert len(with_profiles) > len(dasu_users) * 0.3
+        assert len(with_profiles) > len(users) * 0.3
 
     def test_profiles_survive_csv(self, small_world, tmp_path):
         from repro.datasets.io import read_users_csv, write_users_csv

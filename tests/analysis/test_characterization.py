@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.characterization import figure1
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 
 
@@ -47,4 +48,4 @@ class TestFigure1:
 
     def test_empty_users_rejected(self):
         with pytest.raises(AnalysisError):
-            figure1([])
+            figure1(UserColumns.empty())

@@ -1,31 +1,28 @@
-"""Columnar analysis twins == object-path analysis, exactly.
+"""The columnar analysis blocks == a per-record reference, exactly.
 
 ``binned_demand_curve``, eligibility filtering, and the matched natural
-experiments each have a column-wise implementation; admission criterion
-is *exact* agreement with the per-record path — same points, same pairs
-(by user), same distances, same verdicts — not statistical closeness.
+experiments run on whole columns; the admission criterion is *exact*
+agreement with the straight-line record loops of
+``tests/analysis/record_oracle.py`` — same points, same pairs (by
+user), same distances, same verdicts — not statistical closeness.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.analysis.common import (
     CONFOUNDER_COLUMNS,
-    CONFOUNDER_EXTRACTORS,
     binned_demand_curve,
     demand_outcome,
-    demand_outcome_array,
     eligibility_mask,
     matched_experiment,
-    matched_experiment_columns,
 )
 from repro.core.binning import capacity_class_spec, explicit_bins
 from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
+from tests.analysis import record_oracle as oracle
 
 CONFOUNDERS_ALWAYS = ("capacity", "latency", "loss")
 CONFOUNDERS_MARKET = (
@@ -35,7 +32,7 @@ CONFOUNDERS_MARKET = (
 
 @pytest.fixture(scope="module")
 def pools(small_world):
-    """One object/columnar pool pair split on a real covariate."""
+    """One record/columnar pool pair split on a real covariate."""
     users = small_world.dasu.users
     control = [u for u in users if not u.bt_user]
     treatment = [u for u in users if u.bt_user]
@@ -52,28 +49,22 @@ class TestOutcomeArrays:
     @pytest.mark.parametrize("include_bt", [False, True])
     def test_matches_scalar_outcome(self, pools, metric, include_bt):
         control, _, control_cols, _ = pools
-        scalar = demand_outcome(metric, include_bt)
+        scalar = oracle.demand_outcome(metric, include_bt)
         np.testing.assert_array_equal(
-            demand_outcome_array(metric, include_bt)(control_cols),
+            demand_outcome(metric, include_bt)(control_cols),
             [scalar(u) for u in control],
         )
 
     def test_unknown_metric_raises(self):
         with pytest.raises(AnalysisError):
-            demand_outcome_array("median", False)
+            demand_outcome("median", False)
 
 
 class TestEligibilityMask:
     def test_matches_object_filter(self, pools):
         control, _, control_cols, _ = pools
         mask = eligibility_mask(control_cols, CONFOUNDERS_MARKET)
-        expected = [
-            all(
-                math.isfinite(CONFOUNDER_EXTRACTORS[c](u))
-                for c in CONFOUNDERS_MARKET
-            )
-            for u in control
-        ]
+        expected = [oracle.eligible(u, CONFOUNDERS_MARKET) for u in control]
         np.testing.assert_array_equal(mask, expected)
         # The market covariates are genuinely missing for some users,
         # otherwise this test exercises nothing.
@@ -103,16 +94,14 @@ class TestBinnedDemandCurve:
     @pytest.mark.parametrize("metric", ["peak", "mean"])
     def test_identical_points(self, small_world, spec, metric):
         users = small_world.dasu.users
-        columns = UserColumns.from_records(users)
-        from_records = binned_demand_curve(users, metric=metric, spec=spec)
+        columns = small_world.dasu.columns
+        from_records = oracle.binned_demand_curve(users, metric=metric, spec=spec)
         from_columns = binned_demand_curve(columns, metric=metric, spec=spec)
         assert from_records.points == from_columns.points
 
     def test_min_users_threshold_agrees(self, small_world):
-        users = small_world.dasu.users
-        columns = UserColumns.from_records(users)
-        a = binned_demand_curve(users, min_users=40)
-        b = binned_demand_curve(columns, min_users=40)
+        a = oracle.binned_demand_curve(small_world.dasu.users, min_users=40)
+        b = binned_demand_curve(small_world.dasu.columns, min_users=40)
         assert a.points == b.points
 
 
@@ -124,12 +113,12 @@ class TestMatchedExperiments:
     )
     def test_identical_result_pairs_and_counters(self, pools, confounders):
         control, treatment, control_cols, treatment_cols = pools
-        outcome_scalar = demand_outcome("peak", include_bt=False)
-        outcome_array = demand_outcome_array("peak", include_bt=False)
-        by_object = matched_experiment(
+        outcome_scalar = oracle.demand_outcome("peak", include_bt=False)
+        outcome_array = demand_outcome("peak", include_bt=False)
+        by_object = oracle.matched_experiment(
             "bt-vs-not", control, treatment, confounders, outcome_scalar
         )
-        by_column = matched_experiment_columns(
+        by_column = matched_experiment(
             "bt-vs-not",
             control_cols,
             treatment_cols,
@@ -170,25 +159,25 @@ class TestMatchedExperiments:
     def test_experiment_produces_pairs(self, pools):
         # Guard against the equivalence above passing vacuously.
         control, treatment, control_cols, treatment_cols = pools
-        result = matched_experiment_columns(
+        result = matched_experiment(
             "bt-vs-not",
             control_cols,
             treatment_cols,
             CONFOUNDERS_ALWAYS,
-            demand_outcome_array("peak", include_bt=False),
+            demand_outcome("peak", include_bt=False),
         )
         assert result.result.n_pairs > 0
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: the analysis twins agree on a damaged-then-cleaned
+# Fault injection: the analysis agrees with the oracle on a damaged-then-cleaned
 # world too, where missing covariates and NaN profiles occur in bulk.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def faulted_pools(faulted_world_default):
-    """Object/columnar pool pair from the faulted + sanitized world."""
+    """Record/columnar pool pair from the faulted + sanitized world."""
     users = faulted_world_default.dasu.users
     control = [u for u in users if not u.bt_user]
     treatment = [u for u in users if u.bt_user]
@@ -216,7 +205,7 @@ class TestFaultedWorldEquivalence:
         by_object = match_pairs(
             eligible_control,
             eligible_treatment,
-            [CONFOUNDER_EXTRACTORS[c] for c in names],
+            [oracle.CONFOUNDER_EXTRACTORS[c] for c in names],
         )
         by_arrays = match_pairs_arrays(
             [
@@ -250,27 +239,27 @@ class TestFaultedWorldEquivalence:
     )
     def test_matched_experiment_identical(self, faulted_pools, confounders):
         control, treatment, control_cols, treatment_cols = faulted_pools
-        by_object = matched_experiment(
+        by_object = oracle.matched_experiment(
             "bt-vs-not",
             control,
             treatment,
             confounders,
-            demand_outcome("peak", include_bt=False),
+            oracle.demand_outcome("peak", include_bt=False),
         )
-        by_column = matched_experiment_columns(
+        by_column = matched_experiment(
             "bt-vs-not",
             control_cols,
             treatment_cols,
             confounders,
-            demand_outcome_array("peak", include_bt=False),
+            demand_outcome("peak", include_bt=False),
         )
         assert by_object.result == by_column.result
         assert by_object.matching.n_matched == by_column.matching.n_matched
         assert by_object.result.n_pairs > 0
 
     def test_binned_demand_curve_identical(self, faulted_world_default):
-        users = faulted_world_default.dasu.users
-        columns = UserColumns.from_records(users)
-        a = binned_demand_curve(users, metric="peak")
-        b = binned_demand_curve(columns, metric="peak")
+        a = oracle.binned_demand_curve(
+            faulted_world_default.dasu.users, metric="peak"
+        )
+        b = binned_demand_curve(faulted_world_default.dasu.columns, metric="peak")
         assert a.points == b.points

@@ -5,6 +5,7 @@ import csv
 import pytest
 
 from repro.analysis.export import export_figure_data
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 
 
@@ -13,8 +14,8 @@ def exported(small_world, tmp_path_factory):
     out = tmp_path_factory.mktemp("figures")
     files = export_figure_data(
         out,
-        small_world.dasu.users,
-        small_world.fcc.users,
+        small_world.dasu.columns,
+        small_world.fcc.columns,
         small_world.survey,
     )
     return out, files
@@ -63,7 +64,7 @@ class TestExportFigureData:
             assert last  # something was read
 
     def test_optional_inputs_skipped(self, small_world, tmp_path):
-        files = export_figure_data(tmp_path, small_world.dasu.users)
+        files = export_figure_data(tmp_path, small_world.dasu.columns)
         names = {f.name for f in files}
         assert "fig3_fcc_vs_dasu.csv" not in names
         assert "fig10_upgrade_cost_cdf.csv" not in names
@@ -71,4 +72,4 @@ class TestExportFigureData:
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(AnalysisError):
-            export_figure_data(tmp_path, [])
+            export_figure_data(tmp_path, UserColumns.empty())

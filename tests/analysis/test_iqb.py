@@ -4,7 +4,8 @@ The scoring core is locked by a hypothesis property suite — bounded
 scores, per-metric monotonicity, weight-rescaling invariance, exact 1.0
 when every threshold is met, zero-weight entries ignored, and exact
 (bit-for-bit) equivalence between the vectorized columnar path and the
-straight-line scalar reference. Config validation must reject every
+straight-line scalar reference in ``tests/analysis/record_oracle.py``.
+Config validation must reject every
 malformed payload with an error that names the offending use case and
 requirement, so a bad threshold can never silently become NaN scores.
 """
@@ -33,12 +34,12 @@ from repro.analysis.iqb import (
     market_barometer,
     resolve_iqb_config,
     score_columns,
-    score_record,
 )
 from repro.core.upgrades import NetworkId, ServicePeriod
 from repro.datasets import UserColumns
 from repro.datasets.records import PeriodObservation, UserRecord
 from repro.exceptions import AnalysisError
+from tests.analysis.record_oracle import score_record
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_IQB = GOLDEN_DIR / "iqb_report_small.txt"
@@ -512,10 +513,18 @@ class TestConfigValidation:
 
 
 class TestMarketBarometer:
-    def test_records_and_columns_agree_exactly(self, dasu_users):
-        from_records = market_barometer(dasu_users)
-        from_columns = market_barometer(UserColumns.from_records(dasu_users))
+    def test_records_and_columns_agree_exactly(self, small_world):
+        records = list(small_world.dasu.users)
+        from_columns = market_barometer(small_world.dasu.columns)
+        from_records = market_barometer(UserColumns.from_records(records))
         assert from_records == from_columns
+        # Each market's ready count is the scalar reference's.
+        ready = {}
+        for record in records:
+            if score_record(record).ready:
+                ready[record.country] = ready.get(record.country, 0) + 1
+        for market in from_columns:
+            assert market.n_ready == ready.get(market.market, 0)
 
     def test_markets_sorted_and_thresholded(self, dasu_users):
         markets = market_barometer(dasu_users, min_users=25)
@@ -542,10 +551,12 @@ class TestIqbExperiment:
     def test_too_few_households_rejected(self):
         records = [make_record(user_id=f"u{i}") for i in range(10)]
         with pytest.raises(AnalysisError, match="at least 30"):
-            iqb_experiment(records)
+            iqb_experiment(UserColumns.from_records(records))
 
     def test_runs_on_a_real_world(self, dasu_users):
-        result = iqb_experiment(dasu_users[:600])
+        result = iqb_experiment(
+            dasu_users.select_users(np.arange(dasu_users.n_users) < 600)
+        )
         assert result.config_name == "default"
         assert result.n_classes >= 1
         assert result.n_control > 0 and result.n_treatment > 0
@@ -559,7 +570,7 @@ class TestIqbExperiment:
             make_record(user_id=f"u{i}", country="Chile") for i in range(40)
         ]
         with pytest.raises(AnalysisError, match="distinct"):
-            iqb_experiment(records)
+            iqb_experiment(UserColumns.from_records(records))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +588,7 @@ def iqb_world():
 
 
 def test_iqb_report_matches_golden(iqb_world, request):
-    text = format_iqb_report(iqb_world.dasu.users, iqb_world.fcc.users)
+    text = format_iqb_report(iqb_world.dasu.columns, iqb_world.fcc.columns)
     if request.config.getoption("--regen-golden"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         GOLDEN_IQB.write_text(text + "\n")
@@ -593,10 +604,10 @@ def test_iqb_report_matches_golden(iqb_world, request):
 
 
 def test_payload_is_deterministic_json(iqb_world):
-    a = iqb_payload(iqb_world.dasu.users, iqb_world.fcc.users)
+    a = iqb_payload(iqb_world.dasu.columns, iqb_world.fcc.columns)
     b = iqb_payload(
-        UserColumns.from_records(iqb_world.dasu.users),
-        UserColumns.from_records(iqb_world.fcc.users),
+        UserColumns.from_records(list(iqb_world.dasu.users)),
+        UserColumns.from_records(list(iqb_world.fcc.users)),
     )
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a) == {"config", "dasu", "fcc", "markets", "experiment"}
@@ -605,4 +616,4 @@ def test_payload_is_deterministic_json(iqb_world):
 
 def test_empty_dasu_rejected():
     with pytest.raises(AnalysisError, match="needs Dasu households"):
-        format_iqb_report([])
+        format_iqb_report(UserColumns.empty())

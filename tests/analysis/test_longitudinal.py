@@ -16,7 +16,7 @@ class TestYearObservations:
         totals = 0
         for year in (2011, 2012, 2013):
             totals += len(longitudinal.year_observations(dasu_users, year))
-        assert totals == sum(len(u.observations) for u in dasu_users)
+        assert totals == dasu_users.n_rows
 
     def test_each_year_populated(self, dasu_users):
         for year in (2011, 2012, 2013):

@@ -18,29 +18,30 @@ from repro.obs.ledger import RunLedger, format_profile, scoped
 @pytest.fixture(scope="module")
 def serial_report(small_world) -> str:
     return full_report(
-        small_world.dasu.users, small_world.fcc.users, small_world.survey
+        small_world.dasu.columns, small_world.fcc.columns, small_world.survey
     )
 
 
 class TestParallelEquivalence:
     def test_two_workers_byte_identical(self, small_world, serial_report):
         parallel = full_report(
-            small_world.dasu.users,
-            small_world.fcc.users,
+            small_world.dasu.columns,
+            small_world.fcc.columns,
             small_world.survey,
             jobs=2,
         )
         assert parallel == serial_report
 
     def test_without_optional_datasets(self, small_world):
-        serial = full_report(small_world.dasu.users)
-        parallel = full_report(small_world.dasu.users, jobs=2)
+        serial = full_report(small_world.dasu.columns)
+        parallel = full_report(small_world.dasu.columns, jobs=2)
         assert parallel == serial
 
     def test_skipped_sections_identical_in_parallel(self, small_world):
         # A US-only subset cannot run the India analyses; the skip
         # marker (and its message) must not depend on the worker count.
-        us_only = [u for u in small_world.dasu.users if u.country == "US"]
+        users = small_world.dasu.columns
+        us_only = users.select_users(users.current("country") == b"US")
         serial = section_reports(us_only)
         parallel = section_reports(us_only, jobs=2)
         assert parallel == serial
@@ -48,13 +49,13 @@ class TestParallelEquivalence:
 
     def test_invalid_jobs_rejected(self, small_world):
         with pytest.raises(ReproError):
-            full_report(small_world.dasu.users, jobs=0)
+            full_report(small_world.dasu.columns, jobs=0)
 
 
 def _report_ledger(small_world, jobs: int, **kwargs) -> RunLedger:
     """The run ledger of one full report rendered with ``jobs`` workers."""
     with scoped(RunLedger()) as ledger:
-        full_report(small_world.dasu.users, jobs=jobs, **kwargs)
+        full_report(small_world.dasu.columns, jobs=jobs, **kwargs)
     return ledger
 
 
@@ -76,7 +77,7 @@ class TestProfiler:
             ledger = _report_ledger(
                 small_world,
                 jobs,
-                fcc=small_world.fcc.users,
+                fcc=small_world.fcc.columns,
                 survey=small_world.survey,
             )
             assert self._fragment_spans(ledger) == sorted(fragment_keys())
@@ -107,7 +108,7 @@ class TestReportLedger:
                 _report_ledger(
                     small_world,
                     jobs,
-                    fcc=small_world.fcc.users,
+                    fcc=small_world.fcc.columns,
                     survey=small_world.survey,
                 )
             )
@@ -117,7 +118,7 @@ class TestReportLedger:
         ledger = _report_ledger(
             small_world,
             2,
-            fcc=small_world.fcc.users,
+            fcc=small_world.fcc.columns,
             survey=small_world.survey,
         )
         names = {s.name for s in ledger.spans}

@@ -28,17 +28,17 @@ class TestTable3:
 
 class TestTable4:
     def test_all_four_countries(self, small_world):
-        result = price.table4(small_world.dasu.users, small_world.survey)
+        result = price.table4(small_world.dasu.columns, small_world.survey)
         assert [r.country for r in result.rows] == list(CASE_STUDY_COUNTRIES)
 
     def test_capacity_ordering_matches_paper(self, small_world):
-        result = price.table4(small_world.dasu.users, small_world.survey)
+        result = price.table4(small_world.dasu.columns, small_world.survey)
         caps = {r.country: r.median_capacity_mbps for r in result.rows}
         assert caps["Botswana"] < caps["Saudi Arabia"] < caps["US"]
         assert caps["US"] < caps["Japan"] * 4  # Japan at least comparable
 
     def test_income_share_ordering(self, small_world):
-        result = price.table4(small_world.dasu.users, small_world.survey)
+        result = price.table4(small_world.dasu.columns, small_world.survey)
         shares = {
             r.country: r.cost_share_of_monthly_income for r in result.rows
         }
@@ -48,13 +48,13 @@ class TestTable4:
         assert shares["Japan"] < 0.05
 
     def test_nearest_tier_close_to_median(self, small_world):
-        result = price.table4(small_world.dasu.users, small_world.survey)
+        result = price.table4(small_world.dasu.columns, small_world.survey)
         for row in result.rows:
             ratio = row.nearest_tier_mbps / row.median_capacity_mbps
             assert 0.3 < ratio < 3.5
 
     def test_row_lookup(self, small_world):
-        result = price.table4(small_world.dasu.users, small_world.survey)
+        result = price.table4(small_world.dasu.columns, small_world.survey)
         assert result.row_for("US").country == "US"
         with pytest.raises(AnalysisError):
             result.row_for("Atlantis")
@@ -62,7 +62,7 @@ class TestTable4:
     def test_missing_country_rejected(self, small_world):
         with pytest.raises(AnalysisError):
             price.table4(
-                small_world.dasu.users, small_world.survey, countries=("Atlantis",)
+                small_world.dasu.columns, small_world.survey, countries=("Atlantis",)
             )
 
 

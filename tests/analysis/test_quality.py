@@ -86,7 +86,7 @@ class TestTable8:
     def test_group_sizes(self, dasu_users):
         result = quality.table8(dasu_users)
         assert len(result.group_sizes) == 4
-        assert sum(result.group_sizes) > len(dasu_users) * 0.5
+        assert sum(result.group_sizes) > dasu_users.n_users * 0.5
 
 
 class TestFigure12:

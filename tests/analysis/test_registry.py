@@ -21,6 +21,7 @@ from repro.analysis.registry import (
 from repro.analysis.report import format_experiment_row
 from repro.cli import EXPERIMENTS
 from repro.core.experiments import ExperimentResult
+from repro.datasets import UserColumns
 from repro.exceptions import SweepError
 from repro.sweep.runners import (
     SWEEP_EXPERIMENTS,
@@ -129,10 +130,14 @@ class TestNeeds:
         assert self.EXPERIMENT.missing(dasu=[1], survey="s") is None
         assert self.EXPERIMENT.render([1, 2], None, "s") == "2 users, survey s"
 
-    def test_empty_fcc_counts_as_absent(self):
+    def test_empty_fcc_counts_as_absent(self, dasu_users):
+        # An empty panel is a dataset with no users, not a falsy object:
+        # the check reads n_users.
         fig3 = REPORT_BLOCKS["fig3"]
-        assert fig3.missing(dasu=[1], fcc=()) == "fcc"
-        assert fig3.render([1], [], None) is None
+        assert fig3.missing(dasu=dasu_users, fcc=UserColumns.empty()) == "fcc"
+        assert fig3.missing(dasu=dasu_users, fcc=None) == "fcc"
+        assert fig3.missing(dasu=dasu_users, fcc=dasu_users) is None
+        assert fig3.render(dasu_users, UserColumns.empty(), None) is None
 
 
 class TestCheckExperiments:
@@ -171,7 +176,7 @@ def test_loading_a_dataset_dir_through_the_dag_imports_no_cli(tmp_path):
         "kind='load-data'),))\n"
         f"run = run_dag(spec, backend=InProcessBackend(), "
         f"context=RunContext(data_dir={str(tmp_path)!r}))\n"
-        "assert run.artifact('data').dasu == ()\n"
+        "assert run.artifact('data').dasu.n_users == 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith("
         "('repro.cli', 'repro.analysis', 'repro.sweep')))\n"
         "assert not loaded, loaded\n"

@@ -2,19 +2,23 @@
 
 import pytest
 
-from repro.analysis.segments import SEGMENTS, classify_user, segment_users
+from repro.analysis.segments import SEGMENTS, classify_users, segment_users
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 
 
 class TestClassifyUser:
     def test_every_user_classified(self, dasu_users):
-        for user in dasu_users[:300]:
-            assert classify_user(user) in SEGMENTS
+        segments = classify_users(dasu_users)
+        assert segments.shape == (dasu_users.n_users,)
+        assert set(segments.tolist()) <= set(SEGMENTS)
 
     def test_bt_users_are_bulk(self, dasu_users):
-        for user in dasu_users:
-            if user.bt_user:
-                assert classify_user(user) == "bulk"
+        segments = classify_users(dasu_users)
+        bt_user = dasu_users.current("bt_user")
+        assert bt_user.any()
+        assert (segments[bt_user] == "bulk").all()
+        assert not (segments[~bt_user] == "bulk").any()
 
 
 class TestSegmentUsers:
@@ -23,7 +27,7 @@ class TestSegmentUsers:
         return segment_users(dasu_users)
 
     def test_assignments_complete(self, result, dasu_users):
-        assert len(result.assignments) == len(dasu_users)
+        assert len(result.assignments) == dasu_users.n_users
 
     def test_shares_sum_to_one(self, result):
         assert sum(result.shares.values()) == pytest.approx(1.0)
@@ -49,7 +53,7 @@ class TestSegmentUsers:
     def test_segments_correlate_with_ground_truth(self, small_world):
         """Validation only (never used by analyses): measured 'sustained'
         users over-represent the generative 'streamer' archetype."""
-        result = segment_users(small_world.dasu.users)
+        result = segment_users(small_world.dasu.columns)
         truth = small_world.ground_truth
 
         def streamer_share(segment: str) -> float:
@@ -67,10 +71,22 @@ class TestSegmentUsers:
 
         assert streamer_share("sustained") > streamer_share("bursty")
 
+    def test_switched_share_matches_records(self, result, small_world):
+        # Service switches are read from the period rows; each record
+        # knows its own.
+        for profile in result.profiles:
+            members = [
+                user for user in small_world.dasu.users
+                if result.assignments[user.user_id] == profile.segment
+            ]
+            switched = sum(user.switched_service for user in members)
+            assert profile.n_users == len(members)
+            assert profile.share_switched_service == switched / len(members)
+
     def test_unknown_segment_rejected(self, result):
         with pytest.raises(AnalysisError):
             result.profile("whales")
 
     def test_empty_population_rejected(self):
         with pytest.raises(AnalysisError):
-            segment_users([])
+            segment_users(UserColumns.empty())

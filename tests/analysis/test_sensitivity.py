@@ -66,7 +66,7 @@ class TestSeedSweep:
 class TestProportionSweep:
     def test_table1_effect_across_seeds(self):
         def stat(world):
-            result = table1(world.dasu.users)
+            result = table1(world.dasu.columns)
             return result.peak.fraction_holds, result.peak.n_pairs
 
         result = proportion_sweep(TINY, seeds=(5, 6), statistic=stat)

@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from repro.analysis.upload import seeding_experiment, upload_asymmetry
+from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 
 
 class TestUploadMeasurements:
-    def test_most_users_carry_uploads(self, dasu_users):
-        with_up = [u for u in dasu_users if u.mean_up_mbps is not None]
-        assert len(with_up) > len(dasu_users) * 0.9
+    def test_most_users_carry_uploads(self, small_world):
+        users = small_world.dasu.users
+        with_up = [u for u in users if u.mean_up_mbps is not None]
+        assert len(with_up) > len(users) * 0.9
 
-    def test_uploads_below_downloads_generally(self, dasu_users):
+    def test_uploads_below_downloads_generally(self, small_world):
         ratios = [
             u.mean_up_mbps / u.mean_mbps
-            for u in dasu_users
+            for u in small_world.dasu.users
             if u.mean_up_mbps is not None and u.mean_mbps > 0
         ]
         assert np.median(ratios) < 0.5
 
-    def test_upload_peak_bounded_by_upstream_provisioning(self, dasu_users):
-        for user in dasu_users[:300]:
+    def test_upload_peak_bounded_by_upstream_provisioning(self, small_world):
+        for user in small_world.dasu.users[:300]:
             if user.peak_up_mbps is not None:
                 # Uplinks are provisioned far below downlinks.
                 assert user.peak_up_mbps <= user.capacity_down_mbps
@@ -42,7 +44,7 @@ class TestUploadAsymmetry:
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            upload_asymmetry([])
+            upload_asymmetry(UserColumns.empty())
 
 
 class TestSeedingExperiment:
@@ -53,4 +55,4 @@ class TestSeedingExperiment:
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            seeding_experiment([])
+            seeding_experiment(UserColumns.empty())

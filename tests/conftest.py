@@ -64,12 +64,14 @@ def small_world() -> World:
 
 @pytest.fixture(scope="session")
 def dasu_users(small_world: World):
-    return small_world.dasu.users
+    """``small_world``'s Dasu panel, as the analyses read it (columns)."""
+    return small_world.dasu.columns
 
 
 @pytest.fixture(scope="session")
 def fcc_users(small_world: World):
-    return small_world.fcc.users
+    """``small_world``'s FCC panel, as the analyses read it (columns)."""
+    return small_world.fcc.columns
 
 
 TINY_WORLD_CONFIG = WorldConfig(

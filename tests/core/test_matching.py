@@ -57,10 +57,12 @@ class TestFloorConstants:
     """The zero floors are pinned: analysis code imports them from here."""
 
     def test_loss_floor_single_source(self):
-        from repro.analysis.common import CONFOUNDER_EXTRACTORS
+        from repro.analysis.common import CONFOUNDER_COLUMNS
 
-        record = type("U", (), {"loss_fraction": 0.0})()
-        assert CONFOUNDER_EXTRACTORS["loss"](record) == matching.LOSS_MATCH_FLOOR
+        users = type("U", (), {"loss_fraction": np.array([0.0, 0.5])})()
+        assert CONFOUNDER_COLUMNS["loss"](users).tolist() == [
+            matching.LOSS_MATCH_FLOOR, 0.5
+        ]
 
     def test_loss_floor_dominates_zero_floor(self):
         # The matcher floors every confounder at ZERO_FLOOR as a last

@@ -118,10 +118,11 @@ class TestQuasiExperiment:
         result = qed.run(control, treatment, outcome=lambda u: u["y"], rng=rng)
         assert result.n_pairs + result.n_ties == 20
 
-    def test_agrees_with_natural_experiment_on_real_data(self, dasu_users):
+    def test_agrees_with_natural_experiment_on_real_data(self, small_world):
         """QED and caliper matching find the same capacity effect."""
-        low = [u for u in dasu_users if 0.8 < u.capacity_down_mbps <= 3.2]
-        high = [u for u in dasu_users if 3.2 < u.capacity_down_mbps <= 12.8]
+        users = small_world.dasu.users
+        low = [u for u in users if 0.8 < u.capacity_down_mbps <= 3.2]
+        high = [u for u in users if 3.2 < u.capacity_down_mbps <= 12.8]
         qed = QuasiExperiment(
             "capacity",
             [lambda u: u.latency_ms, lambda u: max(u.loss_fraction, 1e-4)],

@@ -25,7 +25,13 @@ from repro.dag import (
     fragment_report_spec,
     run_dag,
 )
-from repro.datasets import AppendDelta, WorldCache, WorldConfig, append_world
+from repro.datasets import (
+    AppendDelta,
+    UserColumns,
+    WorldCache,
+    WorldConfig,
+    append_world,
+)
 from repro.exceptions import AnalysisError
 
 CONFIG = WorldConfig(
@@ -47,7 +53,7 @@ def warm(tmp_path_factory):
 def test_report_byte_identical_to_full_report(warm):
     cache, _, _, result = warm
     world = cache.load(CONFIG)
-    expected = full_report(world.dasu.users, world.fcc.users, world.survey)
+    expected = full_report(world.dasu.columns, world.fcc.columns, world.survey)
     assert result.artifact("paper-report").files["report.txt"] == expected + "\n"
 
 
@@ -79,7 +85,7 @@ def test_append_recomputes_only_changed_fragments(warm):
     } - survey_only
 
     world = cache.load(appended.config)
-    expected = full_report(world.dasu.users, world.fcc.users, world.survey)
+    expected = full_report(world.dasu.columns, world.fcc.columns, world.survey)
     assert result.artifact("paper-report").files["report.txt"] == expected + "\n"
 
 
@@ -100,7 +106,7 @@ def test_every_fragment_declares_known_inputs():
 
 
 def test_render_fragment_captures_analysis_error():
-    text, error = render_fragment("fig1", dasu=())
+    text, error = render_fragment("fig1", dasu=UserColumns.empty())
     assert text is None
     assert "figure 1" in error
 

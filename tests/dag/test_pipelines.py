@@ -57,7 +57,7 @@ class TestReportSpec:
         bundle = run.artifact("paper-report")
         assert isinstance(bundle, FileBundle)
         world = build_world(REPORT_CONFIG, ground_truth=False)
-        direct = full_report(world.dasu.users, world.fcc.users, world.survey)
+        direct = full_report(world.dasu.columns, world.fcc.columns, world.survey)
         assert bundle.files["report.txt"] == direct + "\n"
         # stdout parity with the pre-DAG `repro report` path.
         assert "building world (seed=5, 150 Dasu users" in capsys.readouterr().out

@@ -4,6 +4,8 @@ The world under test is the session-scoped ``tiny_world`` fixture from
 ``tests/conftest.py`` (built once, shared with the io and fault tests).
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,10 @@ class TestBuildWorld:
         assert all(u.vantage == "gateway" for u in tiny_world.fcc.users)
 
     def test_dasu_users_global(self, tiny_world):
-        assert len(tiny_world.dasu.countries) > 10
+        assert len({u.country for u in tiny_world.dasu.users}) > 10
 
     def test_us_is_largest_dasu_country(self, tiny_world):
-        counts = {
-            c: len(tiny_world.dasu.by_country(c))
-            for c in tiny_world.dasu.countries
-        }
+        counts = collections.Counter(u.country for u in tiny_world.dasu.users)
         assert max(counts, key=counts.get) == "US"
 
     def test_ground_truth_covers_all_users(self, tiny_world):
@@ -68,7 +67,7 @@ class TestBuildWorld:
                 assert len(networks) > 1
 
     def test_market_covariates_attached(self, tiny_world):
-        us_users = tiny_world.dasu.by_country("US")
+        us_users = [u for u in tiny_world.dasu.users if u.country == "US"]
         assert us_users
         for user in us_users:
             assert user.price_of_access_usd < 30.0

@@ -344,6 +344,35 @@ class TestAccessors:
         assert list(dasu.user_ids) == ["a", "c"]
         assert dasu.n_rows == 3  # "a" keeps both of its period rows
         assert records_equal(dasu.to_records(), [users[0], users[2]])
+        # One structured row per period, nothing else.
+        assert dasu.nbytes == dasu.n_rows * ROW_DTYPE.itemsize
+        # take() keeps the order it is given, rows whole.
+        reordered = columns.take([2, 0])
+        assert list(reordered.user_ids) == ["c", "a"]
+        assert records_equal(reordered.to_records(), [users[2], users[0]])
+        assert columns.country_mask(users[0].country).all()
+        assert not columns.country_mask("Atlantis").any()
+
+    def test_peak_utilization_clips_like_the_scalar_min(self):
+        users = [_one_user("a"), _one_user("b"), _one_user("c")]
+        for i, peak in ((1, 100.0), (2, math.nan)):
+            observation = users[i].observations[0]
+            users[i] = dataclasses.replace(
+                users[i],
+                observations=(
+                    dataclasses.replace(
+                        observation,
+                        period=dataclasses.replace(
+                            observation.period, peak_no_bt_mbps=peak
+                        ),
+                    ),
+                ),
+            )
+        columns = UserColumns.from_records(users)
+        # A NaN peak clips to 1, exactly as min(1.0, nan) does.
+        assert columns.peak_utilization.tolist() == [
+            u.peak_utilization for u in users
+        ] == [1.5 / 8.0, 1.0, 1.0]
 
     def test_select_rejects_wrong_mask_shape(self):
         columns = UserColumns.from_records([_one_user("a")])

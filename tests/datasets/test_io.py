@@ -6,7 +6,7 @@ fixture (see ``tests/conftest.py``) instead of building their own world.
 
 import pytest
 
-from repro.datasets import WorldConfig
+from repro.datasets import UserColumns, WorldConfig
 from repro.datasets.io import (
     read_config_json,
     read_users_csv,
@@ -45,7 +45,7 @@ class TestUsersCsv:
         path = tmp_path / "users.csv"
         write_users_csv(world.dasu.users, path)
         loaded = read_users_csv(path)
-        result = figure1(loaded)
+        result = figure1(UserColumns.from_records(loaded))
         assert result.n_users == len(loaded)
 
     def test_bad_columns_rejected(self, tmp_path):

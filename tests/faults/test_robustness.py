@@ -83,8 +83,8 @@ class TestDirectionalFindingsSurvive:
     def test_capacity_experiment_matches_clean_world(
         self, small_world, faulted_world, profile
     ):
-        clean = _table2_by_bin(capacity.table2(small_world.dasu.users, "dasu"))
-        dirty = _table2_by_bin(capacity.table2(faulted_world.dasu.users, "dasu"))
+        clean = _table2_by_bin(capacity.table2(small_world.dasu.columns, "dasu"))
+        dirty = _table2_by_bin(capacity.table2(faulted_world.dasu.columns, "dasu"))
         common = sorted(set(clean) & set(dirty))
         # Sanitization may drop a thin edge class, but the bulk of the
         # capacity ladder must survive at these severities.
@@ -101,7 +101,7 @@ class TestDirectionalFindingsSurvive:
     ):
         # The paper's finding: higher capacity classes demand more. The
         # majority of well-populated comparisons must stay positive.
-        dirty = capacity.table2(faulted_world.dasu.users, "dasu")
+        dirty = capacity.table2(faulted_world.dasu.columns, "dasu")
         populated = [
             row.experiment.result
             for row in dirty.rows
@@ -114,8 +114,8 @@ class TestDirectionalFindingsSurvive:
     def test_price_experiment_matches_clean_world(
         self, small_world, faulted_world, profile
     ):
-        clean = price.table3(small_world.dasu.users)
-        dirty = price.table3(faulted_world.dasu.users)
+        clean = price.table3(small_world.dasu.columns)
+        dirty = price.table3(faulted_world.dasu.columns)
         for (label, _, c), (_, _, d) in zip(clean.rows(), dirty.rows()):
             _assert_experiments_agree(
                 c.result, d.result, f"table3[{profile}] {label}"
@@ -124,7 +124,7 @@ class TestDirectionalFindingsSurvive:
     def test_price_direction_stays_positive(self, faulted_world, profile):
         # Expensive markets demand more (Table 3's direction) even on a
         # dirty substrate.
-        dirty = price.table3(faulted_world.dasu.users)
+        dirty = price.table3(faulted_world.dasu.columns)
         for label, _, exp in dirty.rows():
             assert exp.result.fraction_holds > 0.5, (
                 f"table3[{profile}] {label} lost the paper's direction"
@@ -133,8 +133,8 @@ class TestDirectionalFindingsSurvive:
     def test_panel_is_smaller_but_not_gutted(
         self, small_world, faulted_world, profile
     ):
-        clean_n = len(small_world.dasu.users)
-        dirty_n = len(faulted_world.dasu.users)
+        clean_n = small_world.dasu.n_users
+        dirty_n = faulted_world.dasu.n_users
         assert dirty_n < clean_n  # churn/attrition really removed hosts
         assert dirty_n > clean_n * 0.6  # ...but most of the panel survives
 
@@ -151,13 +151,13 @@ class TestHeavySeverityDegradesGracefully:
     """Adversarially dirty input: analyses run, no verdicts promised."""
 
     def test_capacity_pipeline_runs(self, faulted_world_heavy):
-        result = capacity.table2(faulted_world_heavy.dasu.users, "dasu")
+        result = capacity.table2(faulted_world_heavy.dasu.columns, "dasu")
         for row in result.rows:
             fraction = row.experiment.result.fraction_holds
             assert math.isnan(fraction) or 0.0 <= fraction <= 1.0
 
     def test_price_pipeline_runs(self, faulted_world_heavy):
-        result = price.table3(faulted_world_heavy.dasu.users)
+        result = price.table3(faulted_world_heavy.dasu.columns)
         assert result.group_sizes[0] > 0
 
     def test_records_are_still_clean(self, faulted_world_heavy):

@@ -67,7 +67,7 @@ def expected_report(cache: WorldCache, config: WorldConfig) -> bytes:
 
     world = cache.load(config)
     assert world is not None
-    text = full_report(world.dasu.users, world.fcc.users, world.survey)
+    text = full_report(world.dasu.columns, world.fcc.columns, world.survey)
     return (text + "\n").encode("utf-8")
 
 
@@ -228,7 +228,7 @@ def test_iqb_matches_cold_payload(daemon, client):
     world = cache.load(service.log.tip_config())
     expected = (
         json.dumps(
-            iqb_payload(world.dasu.users, world.fcc.users),
+            iqb_payload(world.dasu.columns, world.fcc.columns),
             indent=2,
             sort_keys=True,
         )

@@ -40,7 +40,7 @@ GOLDEN_CONFIG = WorldConfig(
 @pytest.fixture(scope="module")
 def report_text() -> str:
     world = build_world(GOLDEN_CONFIG)
-    return full_report(world.dasu.users, world.fcc.users, world.survey)
+    return full_report(world.dasu.columns, world.fcc.columns, world.survey)
 
 
 def _check_golden(path: Path, text: str, request) -> None:
@@ -86,6 +86,6 @@ def test_report_is_parallel_invariant(report_text):
     """The pinned report is also what a 2-worker build produces."""
     world = build_world(GOLDEN_CONFIG, jobs=2, chunk_size=17)
     parallel_text = full_report(
-        world.dasu.users, world.fcc.users, world.survey
+        world.dasu.columns, world.fcc.columns, world.survey
     )
     assert parallel_text == report_text

@@ -11,7 +11,7 @@ from repro.analysis import (
     quality,
     upgrade_cost,
 )
-from repro.datasets import WorldConfig, build_world
+from repro.datasets import UserColumns, WorldConfig, build_world
 from repro.datasets.io import read_users_csv, write_users_csv
 
 
@@ -19,11 +19,11 @@ class TestEveryAnalysisRuns:
     """Every paper table/figure entry point runs on one world."""
 
     def test_full_pipeline(self, small_world):
-        dasu = small_world.dasu.users
-        fcc = small_world.fcc.users
+        dasu = small_world.dasu.columns
+        fcc = small_world.fcc.columns
         survey = small_world.survey
 
-        assert characterization.figure1(dasu).n_users == len(dasu)
+        assert characterization.figure1(dasu).n_users == dasu.n_users
         assert capacity.figure2(dasu).min_correlation > 0.5
         assert capacity.figure3(dasu, fcc).fcc_peak.points
         assert capacity.table1(dasu).n_observations > 0
@@ -57,8 +57,8 @@ class TestAnalysisNeverTouchesGroundTruth:
         write_users_csv(subset, path)
         loaded = read_users_csv(path)
 
-        direct = capacity.table1(subset)
-        from_disk = capacity.table1(loaded)
+        direct = capacity.table1(UserColumns.from_records(subset))
+        from_disk = capacity.table1(UserColumns.from_records(loaded))
         assert direct.average.n_pairs == from_disk.average.n_pairs
         assert direct.average.n_holds == from_disk.average.n_holds
         assert direct.peak.p_value == pytest.approx(from_disk.peak.p_value)
@@ -71,12 +71,12 @@ class TestDeterminism:
         )
         a = build_world(config)
         b = build_world(config)
-        fa = characterization.figure1(a.dasu.users)
-        fb = characterization.figure1(b.dasu.users)
+        fa = characterization.figure1(a.dasu.columns)
+        fb = characterization.figure1(b.dasu.columns)
         assert fa.median_capacity_mbps == fb.median_capacity_mbps
         assert fa.median_latency_ms == fb.median_latency_ms
-        ta = capacity.table1(a.dasu.users)
-        tb = capacity.table1(b.dasu.users)
+        ta = capacity.table1(a.dasu.columns)
+        tb = capacity.table1(b.dasu.columns)
         assert ta.peak.n_holds == tb.peak.n_holds
 
 
@@ -111,7 +111,7 @@ class TestHeadlineFindings:
     """The paper's summary claims, end to end, on the shared world."""
 
     def test_capacity_drives_demand_but_saturates(self, small_world):
-        fig2 = capacity.figure2(small_world.dasu.users)
+        fig2 = capacity.figure2(small_world.dasu.columns)
         assert fig2.min_correlation > 0.8
         assert fig2.diminishing_returns()
 
@@ -123,12 +123,12 @@ class TestHeadlineFindings:
         assert 0.08 <= float(np.mean(utils)) <= 0.55
 
     def test_upgrades_raise_demand(self, small_world):
-        t1 = capacity.table1(small_world.dasu.users)
+        t1 = capacity.table1(small_world.dasu.columns)
         assert t1.peak.fraction_holds > 0.52
 
     def test_quality_suppresses_demand(self, small_world):
         # With only ~25 India-US pairs at this world size, the share is
         # noisy (sd ~0.10); the paper-scale benchmark asserts > 0.5 with
         # ~120 pairs.
-        f11 = quality.figure11(small_world.dasu.users)
+        f11 = quality.figure11(small_world.dasu.columns)
         assert f11.india_lower_demand_share >= 0.40
