@@ -1,14 +1,15 @@
-"""Analysis throughput: the parallel report engine vs the serial baseline.
+"""Analysis throughput: the report DAG on a process pool vs in-process.
 
-Records the wall-clock speedup of rendering the full paper-vs-measured
-report with 4 workers over the serial path on the paper-scale world.
-The report's fragments (every natural experiment, table, and binned
-curve) are independent and run through the same process pool as the
-world builder, so the parallel report is byte-identical to the serial
-one — this benchmark measures only how much faster it arrives, and the
-equality assertion doubles as an end-to-end determinism check at scale.
-Skipped on machines with fewer than 4 CPUs, where a 4-worker
-measurement would be meaningless.
+Records the wall-clock speedup of running the full paper-vs-measured
+report DAG (:func:`repro.dag.report_spec`) on a 4-worker
+:class:`~repro.dag.ProcessPoolBackend` over the in-process backend, on
+the paper-scale world. The report's fragments (every natural
+experiment, table, and binned curve) are independent stages of one wave,
+so the pooled report is byte-identical to the in-process one — this
+benchmark measures only how much faster it arrives, and the equality
+assertion doubles as an end-to-end determinism check at scale. Skipped
+on machines with fewer than 4 CPUs, where a 4-worker measurement would
+be meaningless.
 """
 
 from __future__ import annotations
@@ -18,13 +19,34 @@ import time
 
 import pytest
 
-from repro.analysis.paper_report import full_report
-from repro.obs.ledger import scoped
+from repro.dag import (
+    InProcessBackend,
+    ProcessPoolBackend,
+    RunContext,
+    report_spec,
+    run_dag,
+)
+from repro.obs.ledger import RunLedger
 
-from conftest import emit
+from conftest import PAPER_WORLD_CONFIG, emit
 
 _N_WORKERS = 4
 _MIN_SPEEDUP = 1.8
+
+
+#: The ledger spans of the fragment stages.
+_FRAGMENT_SPANS = "dag/stage/fragment/"
+
+
+def _render(backend, ledger: RunLedger | None = None) -> str:
+    """The report DAG over the cached paper world on ``backend``."""
+    run = run_dag(
+        report_spec(PAPER_WORLD_CONFIG),
+        backend=backend,
+        ledger=ledger,
+        context=RunContext(),
+    )
+    return run.artifact("paper-report").files["report.txt"]
 
 
 @pytest.mark.skipif(
@@ -32,32 +54,28 @@ _MIN_SPEEDUP = 1.8
     reason=f"needs >= {_N_WORKERS} CPUs to measure a {_N_WORKERS}-worker speedup",
 )
 def test_parallel_report_speedup(paper_world):
-    dasu, fcc, survey = (
-        paper_world.dasu.columns,
-        paper_world.fcc.columns,
-        paper_world.survey,
-    )
+    dasu, fcc = paper_world.dasu.columns, paper_world.fcc.columns
 
-    with scoped() as ledger:
-        start = time.perf_counter()
-        serial = full_report(dasu, fcc, survey, jobs=1)
-        serial_s = time.perf_counter() - start
-    fragments = [s for s in ledger.spans if s.name.startswith("report/")]
+    ledger = RunLedger()
+    start = time.perf_counter()
+    serial = _render(InProcessBackend(), ledger)
+    serial_s = time.perf_counter() - start
+    fragments = [s for s in ledger.spans if s.name.startswith(_FRAGMENT_SPANS)]
 
     start = time.perf_counter()
-    parallel = full_report(dasu, fcc, survey, jobs=_N_WORKERS)
+    parallel = _render(ProcessPoolBackend(_N_WORKERS))
     parallel_s = time.perf_counter() - start
 
     speedup = serial_s / parallel_s
     slowest = max(fragments, key=lambda s: s.wall_s)
     emit(
-        f"Parallel report ({len(dasu) + len(fcc)} users, "
+        f"Parallel report ({dasu.n_users + fcc.n_users} users, "
         f"{len(fragments)} fragments)",
         [
             f"serial:            {serial_s:6.2f} s",
             f"{_N_WORKERS} workers:         {parallel_s:6.2f} s",
             f"speedup:           x{speedup:.2f}",
-            f"critical fragment: {slowest.name.removeprefix('report/')} "
+            f"critical fragment: {slowest.name.removeprefix(_FRAGMENT_SPANS)} "
             f"({slowest.wall_s:.2f} s)",
         ],
     )

@@ -9,35 +9,28 @@ The report is assembled from independent **fragments** — one natural
 experiment, table, or binned-curve panel each. A fragment is the
 report block of a :mod:`repro.analysis.registry` entry, which declares
 what it reads and computes; this module only places the blocks into
-the paper's sections (:data:`_SECTIONS`, the one list of fragment keys)
-and runs them. Because fragments share no state, they run through
-:func:`repro.core.executor.run_sharded` exactly like the world builder's
-shards: ``jobs=1`` executes them serially in-process, ``jobs=N`` fans
-them out over a process pool, and either way the fragments are rendered
-independently and reassembled in declaration order, so the report text
-is byte-identical for any worker count. Section-skip semantics are
-preserved: if any fragment of a section raises
-:class:`~repro.exceptions.AnalysisError`, the section collapses to
-``[section skipped: ...]`` citing the first failing fragment in section
-order, exactly as the serial single-pass implementation did.
+the paper's sections (:data:`_SECTIONS`, the one list of fragment keys),
+renders one (:func:`render_fragment`) and assembles the report
+(:func:`assemble_report`). Section-skip semantics: if any fragment of a
+section raises :class:`~repro.exceptions.AnalysisError`, the section
+collapses to ``[section skipped: ...]`` citing the first failing
+fragment in section order.
 
-:func:`render_fragment` is the one place a fragment is rendered and
-:func:`assemble_report` the one place the report is assembled: the
-pooled path and the fragment-level DAG both go through them. Each pooled
-fragment runs under a ``report/<key>`` span of the ambient run ledger
-(wall and CPU, inside whichever process ran it); the CLI's ``--profile``
-flag renders those spans with :func:`repro.obs.ledger.format_profile`.
+The report *pipeline* is the fragment-level DAG
+(:func:`repro.dag.pipelines.report_spec`): one stage per fragment,
+keyed on the content of the slices it reads, run serially or over a
+process pool by the DAG backends. :func:`full_report` and
+:func:`section_reports` are the same composition run serially in the
+calling process, the reference the DAG's output is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..core.executor import run_sharded
 from ..datasets.columns import UserColumns
 from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
-from ..obs import ledger as obs
 from .registry import REPORT_BLOCKS
 
 __all__ = [
@@ -74,8 +67,8 @@ _FRAGMENTS: dict[str, Callable] = {
 
 def fragment_inputs(key: str) -> tuple[str, ...]:
     """The world slices fragment ``key`` reads: the content hashes the
-    fragment-level DAG (:func:`repro.dag.pipelines.fragment_report_spec`)
-    keys it on, so survey-only fragments survive a household append."""
+    report DAG (:func:`repro.dag.pipelines.report_spec`) keys it on, so
+    survey-only fragments survive a household append."""
     return REPORT_BLOCKS[key].inputs
 
 
@@ -87,32 +80,6 @@ def fragment_keys() -> tuple[str, ...]:
 #: A rendered fragment: ``(text, error)`` as :func:`render_fragment`
 #: returns it.
 _Rendered = tuple[str | None, str | None]
-
-
-# Worker-process context: the datasets are shipped once per worker via the
-# pool initializer instead of once per task, so a fragment task is just its
-# key. With jobs=1, run_sharded invokes the initializer in-process and the
-# serial path exercises exactly the same code.
-_CTX: tuple | None = None
-
-
-def _init_fragment_worker(dasu, fcc, survey) -> None:
-    global _CTX
-    _CTX = (dasu, fcc, survey)
-
-
-def _run_fragment(key: str) -> _Rendered:
-    assert _CTX is not None, "fragment worker used before initialization"
-    # Ledger accounting (no-op outside a traced run): the report/<key>
-    # span is what ``--profile`` renders.
-    with obs.span(f"report/{key}"):
-        text, error = render_fragment(key, *_CTX)
-    obs.count("report.fragments.run")
-    if error is not None:
-        obs.count("report.fragments.failed")
-    elif not text:
-        obs.count("report.fragments.empty")
-    return text, error
 
 
 def _assemble_section(header: str | None, outputs: Sequence[_Rendered]) -> str:
@@ -147,27 +114,6 @@ def _fold_sections(fragments: dict[str, _Rendered]) -> list[str]:
     ]
 
 
-def _render_pooled(dasu, fcc, survey, jobs: int | None) -> dict[str, _Rendered]:
-    """Render every fragment through :func:`run_sharded`.
-
-    The fragment shards' ledger events merge into the ambient ledger
-    (if any) in declaration order, so the merged ledger is the same for
-    any worker count.
-    """
-    if dasu.n_users == 0:
-        raise AnalysisError("a report needs at least the Dasu dataset")
-    keys = fragment_keys()
-    outputs = run_sharded(
-        _run_fragment,
-        keys,
-        jobs=jobs,
-        initializer=_init_fragment_worker,
-        initargs=(dasu, fcc, survey),
-        ledger=obs.current(),
-    )
-    return dict(zip(keys, outputs))
-
-
 def render_fragment(
     key: str,
     dasu: UserColumns | None = None,
@@ -179,10 +125,10 @@ def render_fragment(
     Returns ``(text, error)``: an :class:`~repro.exceptions.AnalysisError`
     becomes a section-skip message, and ``None`` text means the
     fragment's optional dataset is absent or has no users. This is the
-    only place a fragment is rendered — the pooled path times it from
-    the outside, and DAG fragment stages use it as is, so their
-    artifacts contain no wall-clock state and an unchanged input hashes
-    to an unchanged output.
+    only place a fragment is rendered — :func:`full_report` and the DAG
+    fragment stages both use it as is, so their artifacts contain no
+    wall-clock state and an unchanged input hashes to an unchanged
+    output.
     """
     build = _FRAGMENTS[key]
     try:
@@ -224,40 +170,37 @@ def assemble_report(
     return "\n".join(blocks)
 
 
+def _render_all(
+    dasu: UserColumns,
+    fcc: UserColumns | None,
+    survey: PlanSurvey | None,
+) -> dict[str, _Rendered]:
+    """Every fragment, rendered serially in declaration order."""
+    if dasu.n_users == 0:
+        raise AnalysisError("a report needs at least the Dasu dataset")
+    return {key: render_fragment(key, dasu, fcc, survey) for key in _FRAGMENTS}
+
+
 def section_reports(
     dasu: UserColumns,
     fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
-    *,
-    jobs: int | None = 1,
 ) -> list[str]:
     """One rendered block per paper section; sections whose data are
     insufficient (e.g. no Indian users) are reported as skipped rather
-    than aborting the whole report.
-
-    ``jobs`` fans the fragments out over a process pool (``None`` = one
-    worker per CPU); the rendered text is byte-identical for any value.
-    The analysis stage's run-ledger events (``report/<key>`` spans,
-    experiment and matching counters) land in the ambient ledger
-    (:func:`repro.obs.ledger.scoped`), identically for any worker count.
-    """
-    return _fold_sections(_render_pooled(dasu, fcc, survey, jobs))
+    than aborting the whole report."""
+    return _fold_sections(_render_all(dasu, fcc, survey))
 
 
 def full_report(
     dasu: UserColumns,
     fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
-    *,
-    jobs: int | None = 1,
 ) -> str:
-    """The complete paper-vs-measured report as one string.
-
-    See :func:`section_reports` for the ``jobs`` and ledger contract;
-    the report text is byte-identical for any worker count.
-    """
+    """The complete paper-vs-measured report as one string, rendered
+    serially in the calling process."""
     return assemble_report(
-        _render_pooled(dasu, fcc, survey, jobs),
+        _render_all(dasu, fcc, survey),
         n_dasu=dasu.n_users,
         n_fcc=0 if fcc is None else fcc.n_users,
         n_plans=survey.n_plans if survey is not None else None,

@@ -29,8 +29,8 @@ full configuration and package version (see
 :mod:`repro.datasets.cache`): rebuilding the same world is an export
 of the cached columns, and ``report`` without ``--data`` renders
 straight from the cache, skipping the build entirely. ``--no-cache``
-forces a fresh build; ``--jobs N`` shards both the build and the
-report's analysis fragments across N worker processes with
+forces a fresh build; ``--jobs N`` shards the build across N worker
+processes and runs the report's fragment DAG on an N-process pool, with
 byte-identical output; ``report --profile`` prints per-fragment
 wall/CPU timings to stderr.
 
@@ -208,13 +208,18 @@ def _analyze(args: argparse.Namespace) -> int:
 
 
 def _report(args: argparse.Namespace) -> int:
-    # The report pipeline runs as a two-stage experiment DAG (build or
-    # load the data, then render). Artifacts, stdout, and the --trace
-    # ledger are byte-identical to the pre-DAG direct path: the build
-    # stage prints the same cache-hit/build messages and folds the
-    # build's events into the run ledger exactly as this function used
-    # to do inline.
-    from .dag import InProcessBackend, RunContext, report_spec, run_dag
+    # The report runs as the fragment-level DAG (source, three world
+    # slices, one stage per fragment, assembly): serially in-process
+    # for --jobs 1, each wave across a --jobs process pool otherwise.
+    # The source stage is a one-stage wave, so it always runs here and
+    # prints the cache-hit/build messages to this process's stdout.
+    from .dag import (
+        InProcessBackend,
+        ProcessPoolBackend,
+        RunContext,
+        report_spec,
+        run_dag,
+    )
 
     jobs = resolve_jobs(args.jobs)
     ledger = RunLedger()
@@ -230,7 +235,7 @@ def _report(args: argparse.Namespace) -> int:
         spec = report_spec(config)
     result = run_dag(
         spec,
-        backend=InProcessBackend(),
+        backend=InProcessBackend() if jobs == 1 else ProcessPoolBackend(jobs),
         ledger=ledger,
         context=RunContext(
             jobs=jobs,
@@ -253,10 +258,13 @@ def _report(args: argparse.Namespace) -> int:
     else:
         print(text)
     if args.profile:
-        # The profile is a view over the ledger's report/* spans. It
-        # goes to stderr so the report itself stays byte-identical
+        # The profile is a view over the ledger's fragment-stage spans.
+        # It goes to stderr so the report itself stays byte-identical
         # (and pipeable) whether or not it is requested.
-        print(format_profile(ledger.spans, prefix="report/"), file=sys.stderr)
+        print(
+            format_profile(ledger.spans, prefix="dag/stage/fragment/"),
+            file=sys.stderr,
+        )
     if args.trace:
         _write_trace(
             ledger,
@@ -361,10 +369,9 @@ def _dag_run(args: argparse.Namespace) -> int:
         store.clear()
     backend = get_backend(args.backend, jobs=jobs)
     # The pool backend spends --jobs on stage-level fan-out; in-process
-    # runs spend it on intra-stage sharding (a build's user shards, the
-    # report's analysis fragments). Either way the artifacts are
-    # byte-identical for any value: jobs is a scheduling knob, excluded
-    # from stage keys and stage outputs by construction.
+    # runs spend it on a world build's user shards. Either way the
+    # artifacts are byte-identical for any value: jobs is a scheduling
+    # knob, excluded from stage keys and stage outputs by construction.
     context = RunContext(
         jobs=jobs if args.backend == "inprocess" else 1,
         cache_root=args.cache_dir,
@@ -585,8 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cache_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the build and, under "
-                            "'report', the analysis stage (output is "
-                            "identical for any value; default 1)")
+                            "'report', the fragment DAG's stage waves "
+                            "(output is identical for any value; "
+                            "default 1)")
         p.add_argument("--no-cache", action="store_true",
                        help="ignore the world cache and rebuild")
         p.add_argument("--cache-dir", default=None,
@@ -727,9 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "each ready wave across --jobs worker "
                                 "processes (identical output bytes)")
     p_dag_run.add_argument("--jobs", type=int, default=1,
-                           help="worker processes (stage-level for "
-                                "--backend pool, intra-stage otherwise); "
-                                "output is identical for any value")
+                           help="worker processes: each ready wave's "
+                                "stages under --backend pool, a world "
+                                "build's shards under inprocess; output "
+                                "is identical for any value")
     p_dag_run.add_argument("--no-cache", action="store_true",
                            help="ignore the world cache inside build "
                                 "stages and rebuild")

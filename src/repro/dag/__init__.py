@@ -34,7 +34,6 @@ from .pipelines import (
     FileBundle,
     WorldSlice,
     expand_pipeline,
-    fragment_report_spec,
     report_spec,
     sweep_spec,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "StoredStage",
     "WorldSlice",
     "expand_pipeline",
-    "fragment_report_spec",
     "get_backend",
     "hash_artifact",
     "register_stage_kind",

@@ -48,11 +48,16 @@ class ExecutorBackend(Protocol):
         worker: Callable,
         tasks: Sequence,
         on_result: Callable[[int, object], None] | None = None,
+        initializer: Callable[..., None] | None = None,
+        initargs: Sequence = (),
     ) -> list[tuple[object, RunLedger]]:
         """Run ``worker`` over ``tasks``; ``(result, shard)`` pairs in
         task order. ``on_result(task_index, pair)`` fires in the
         calling process as each task completes (completion order), so
-        the scheduler can publish artifacts incrementally."""
+        the scheduler can publish artifacts incrementally.
+        ``initializer(*initargs)`` runs once in every process that runs
+        tasks, before the first of them: the scheduler ships a wave's
+        input artifacts through it."""
         ...
 
 
@@ -66,17 +71,20 @@ class InProcessBackend:
 
     name = "inprocess"
 
-    def run(self, worker, tasks, on_result=None):
+    def run(self, worker, tasks, on_result=None, initializer=None, initargs=()):
         return run_sharded(
-            worker, tasks, jobs=1, with_ledgers=True, on_result=on_result
+            worker, tasks, jobs=1, with_ledgers=True, on_result=on_result,
+            initializer=initializer, initargs=initargs,
         )
 
 
 class ProcessPoolBackend:
     """Fan each wave across a process pool (``core.executor`` sharding).
 
-    Tasks — stage configs, input artifacts, and the kind callable — are
-    pickled into workers, so kinds must be module-level functions.
+    Tasks — stage configs, dependency names, and the kind callable — are
+    pickled into workers, so kinds must be module-level functions. A
+    wave's input artifacts travel once per worker, as initializer
+    arguments (inherited, not pickled, where the pool forks).
     Output is byte-identical to :class:`InProcessBackend` for any
     ``jobs`` value.
     """
@@ -86,10 +94,10 @@ class ProcessPoolBackend:
     def __init__(self, jobs: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
 
-    def run(self, worker, tasks, on_result=None):
+    def run(self, worker, tasks, on_result=None, initializer=None, initargs=()):
         return run_sharded(
             worker, tasks, jobs=self.jobs, with_ledgers=True,
-            on_result=on_result,
+            on_result=on_result, initializer=initializer, initargs=initargs,
         )
 
 

@@ -1,29 +1,34 @@
 """Built-in stage kinds and the pipeline templates built from them.
 
-This module is where the paper's fixed chain (build world → sanitize →
-match → verdict → report) meets the generic DAG runtime: each link
-becomes a registered stage kind, and the two production pipelines —
-``repro report`` and ``repro sweep`` — become thin spec builders over
-those kinds. The CLI and the sweep engine call :func:`report_spec` /
-:func:`sweep_spec`; ``repro dag run`` additionally accepts the
-``{"pipeline": ..., "config": ...}`` shorthand via
-:func:`expand_pipeline`.
+This module is where the paper's pipelines meet the generic DAG
+runtime: each link becomes a registered stage kind, and the two
+production pipelines — ``repro report`` and ``repro sweep`` — become
+thin spec builders over those kinds. The CLI, the report service and
+the sweep engine call :func:`report_spec` / :func:`sweep_spec`;
+``repro dag run`` additionally accepts the ``{"pipeline": ...,
+"config": ...}`` shorthand via :func:`expand_pipeline`.
 
 Registered kinds:
 
-``build``
-    Build (or load from the world cache) the world for a full
-    ``WorldConfig`` payload. Sanitization and fault injection run
-    inside the build when the config enables them, exactly as in the
-    non-DAG pipeline. Output-fingerprinted by world-cache key, since a
-    cache-loaded world memory-maps its columns and would pickle
-    differently from a value-identical fresh build.
+``world-source``
+    The report's source stage: build (or load from the world cache) the
+    world for a full ``WorldConfig`` payload. Sanitization and fault
+    injection run inside the build when the config enables them.
+    Output-fingerprinted by world-cache key, since a cache-loaded world
+    memory-maps its columns and would pickle differently from a
+    value-identical fresh build. Not cacheable: a warm world is an mmap
+    away, and a pickled ``World`` in the stage store would duplicate the
+    dataset.
 ``load-data``
     Read a pre-built dataset directory (``repro report --data``). Not
     cacheable: the directory's contents are outside the spec.
-``report``
-    Render the full paper-vs-measured report from its one dependency
-    (a built world or a loaded dataset).
+``world-slice``
+    One view (``dasu``, ``fcc`` or ``survey``) of a world or a loaded
+    dataset, fingerprinted by its content digest.
+``report-fragment``
+    Render one report fragment from the slices it reads.
+``report-assemble``
+    Fold every fragment into ``report.txt``.
 ``sweep-cell``
     One (scenario, seed) sweep cell: build/load the world, run the
     chosen experiments, return the cell's verdicts.
@@ -64,7 +69,6 @@ __all__ = [
     "FileBundle",
     "WorldSlice",
     "expand_pipeline",
-    "fragment_report_spec",
     "report_spec",
     "sweep_spec",
 ]
@@ -169,28 +173,6 @@ def _load_data_kind(config: dict, inputs: dict, ctx) -> DatasetTriple:
     return DatasetTriple(*load_dataset_dir(ctx.data_dir))
 
 
-def _report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
-    from ..analysis.paper_report import full_report
-
-    if len(inputs) != 1:
-        raise DagError(
-            f"the report kind takes exactly one dependency, got "
-            f"{sorted(inputs)}"
-        )
-    (data,) = inputs.values()
-    if isinstance(data, World):
-        dasu, fcc, survey = data.dasu.columns, data.fcc.columns, data.survey
-    elif isinstance(data, DatasetTriple):
-        dasu, fcc, survey = data.dasu, data.fcc, data.survey
-    else:
-        raise DagError(
-            f"the report kind needs a world or dataset input, got "
-            f"{type(data).__name__}"
-        )
-    text = full_report(dasu, fcc, survey, jobs=ctx.jobs)
-    return FileBundle(files={"report.txt": text + "\n"})
-
-
 def _sweep_cell_kind(config: dict, inputs: dict, ctx) -> CellOutcome:
     from ..sweep.engine import _CellTask, _run_cell
     from ..sweep.runners import check_experiments
@@ -242,32 +224,36 @@ def _sweep_report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     )
 
 
+#: The survey slice's digest when the dataset has no ``survey.csv``: no
+#: survey rendering hashes to it, since every one starts with a header.
+_ABSENT_SURVEY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
 def _world_slice_kind(config: dict, inputs: dict, ctx) -> WorldSlice:
     name = str(config["slice"])
     (data,) = inputs.values()
     if isinstance(data, World):
-        if name in ("dasu", "fcc"):
-            columns = getattr(data, name).columns
-            return WorldSlice(
-                name=name,
-                data=columns,
-                digest=hashlib.sha256(
-                    np.ascontiguousarray(columns.rows).tobytes()
-                ).hexdigest(),
-            )
-        if name == "survey":
-            return WorldSlice(
-                name=name,
-                data=data.survey,
-                digest=hashlib.sha256(
-                    survey_csv_text(data.survey).encode("utf-8")
-                ).hexdigest(),
-            )
-        raise DagError(f"unknown world slice {name!r}")
-    raise DagError(
-        f"the world-slice kind needs a world input, got "
-        f"{type(data).__name__}"
-    )
+        data = DatasetTriple(data.dasu.columns, data.fcc.columns, data.survey)
+    elif not isinstance(data, DatasetTriple):
+        raise DagError(
+            f"the world-slice kind needs a world or dataset input, got "
+            f"{type(data).__name__}"
+        )
+    if name in ("dasu", "fcc"):
+        columns = getattr(data, name)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(columns.rows).tobytes()
+        ).hexdigest()
+        return WorldSlice(name=name, data=columns, digest=digest)
+    if name == "survey":
+        if data.survey is None:
+            digest = _ABSENT_SURVEY_DIGEST
+        else:
+            digest = hashlib.sha256(
+                survey_csv_text(data.survey).encode("utf-8")
+            ).hexdigest()
+        return WorldSlice(name=name, data=data.survey, digest=digest)
+    raise DagError(f"unknown world slice {name!r}")
 
 
 def _world_slice_fingerprint(slice_: WorldSlice) -> str:
@@ -334,17 +320,15 @@ def _report_assemble_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     return FileBundle(files={"report.txt": text + "\n"})
 
 
-register_stage_kind("build", _build_kind, fingerprint=_build_fingerprint)
 register_stage_kind("load-data", _load_data_kind, cacheable=False)
-register_stage_kind("report", _report_kind)
 register_stage_kind(
     "sweep-cell", _sweep_cell_kind, fingerprint=_sweep_cell_fingerprint
 )
 register_stage_kind("sweep-report", _sweep_report_kind)
-#: The fragment pipeline's world stage: same callable as ``build``, but
-#: not cacheable — a resident service re-slices its warm world every
-#: refresh (loading from the world cache is an mmap, not a rebuild), and
-#: a pickled World in the DAG store would duplicate the whole dataset.
+#: The report's world stage, not cacheable — a resident service
+#: re-slices its warm world every refresh (loading from the world cache
+#: is an mmap, not a rebuild), and a pickled World in the DAG store
+#: would duplicate the whole dataset.
 register_stage_kind(
     "world-source",
     _build_kind,
@@ -401,11 +385,25 @@ def report_spec(
     data_dir: str | None = None,
     name: str = "report",
 ) -> DagSpec:
-    """The ``repro report`` pipeline as a two-stage DAG.
+    """The paper report as a fragment-level DAG.
 
-    Either a world configuration (build → report) or ``data_dir``
-    (load-data → report); exactly one source must be given.
+    The source is either a world configuration (``world-source``: build
+    or cache-load) or ``data_dir`` (``load-data``, reading
+    ``RunContext.data_dir``); exactly one must be given. It fans into
+    three ``world-slice`` stages (dasu, fcc, survey), each fragment
+    depends on exactly the slices it reads
+    (:func:`repro.analysis.paper_report.fragment_inputs`), and
+    ``report-assemble`` folds every fragment into a ``report.txt``
+    byte-identical to :func:`repro.analysis.paper_report.full_report`.
+
+    Run against a persistent :class:`~repro.dag.store.DagStore`, only
+    fragments whose input content digests changed re-execute — appending
+    households recomputes the Dasu-driven fragments while survey-only
+    ones reload. This is what ``repro report``, ``repro dag run`` and
+    the report service all run.
     """
+    from ..analysis.paper_report import fragment_inputs, fragment_keys
+
     if (config is None) == (data_dir is None):
         raise DagError(
             "report_spec needs exactly one of a world config or data_dir"
@@ -413,47 +411,12 @@ def report_spec(
     if config is not None:
         source = StageSpec(
             name="world",
-            kind="build",
+            kind="world-source",
             config={"world": _world_payload(config, "report world config")},
         )
     else:
         source = StageSpec(name="world", kind="load-data")
-    return DagSpec(
-        name=name,
-        stages=(
-            source,
-            StageSpec(name="paper-report", kind="report", depends_on=("world",)),
-        ),
-    )
-
-
-def fragment_report_spec(
-    config: WorldConfig | Mapping,
-    *,
-    name: str = "fragment-report",
-) -> DagSpec:
-    """The paper report as a fragment-level DAG.
-
-    ``world-source`` (build or cache-load) fans into three ``world-slice``
-    stages (dasu, fcc, survey), each fragment depends on exactly the
-    slices it reads (:func:`repro.analysis.paper_report.fragment_inputs`),
-    and ``report-assemble`` folds every fragment into a ``report.txt``
-    byte-identical to :func:`repro.analysis.paper_report.full_report`.
-
-    Run against a persistent :class:`~repro.dag.store.DagStore`, only
-    fragments whose input content digests changed re-execute — appending
-    households recomputes the Dasu-driven fragments while survey-only
-    ones reload. This is the report service's refresh pipeline.
-    """
-    from ..analysis.paper_report import fragment_inputs, fragment_keys
-
-    stages: list[StageSpec] = [
-        StageSpec(
-            name="world",
-            kind="world-source",
-            config={"world": _world_payload(config, "report world config")},
-        )
-    ]
+    stages: list[StageSpec] = [source]
     for slice_name in ("dasu", "fcc", "survey"):
         stages.append(
             StageSpec(
@@ -578,14 +541,6 @@ def expand_pipeline(payload: Mapping) -> DagSpec:
                 f"{', '.join(sorted(unknown))}"
             )
         return report_spec(config.get("world", {}), name=name)
-    if pipeline == "fragment-report":
-        unknown = set(config) - {"world"}
-        if unknown:
-            raise DagError(
-                "fragment-report pipeline config has unknown keys: "
-                f"{', '.join(sorted(unknown))}"
-            )
-        return fragment_report_spec(config.get("world", {}), name=name)
     if pipeline == "sweep":
         from ..sweep.grid import ScenarioGrid
         from ..sweep.runners import SWEEP_EXPERIMENTS
@@ -610,6 +565,5 @@ def expand_pipeline(payload: Mapping) -> DagSpec:
         experiments = tuple(config.get("experiments", SWEEP_EXPERIMENTS))
         return sweep_spec(base, grid, seeds, experiments, name=name)
     raise DagError(
-        f"unknown pipeline {pipeline!r} (expected 'report', "
-        "'fragment-report', or 'sweep')"
+        f"unknown pipeline {pipeline!r} (expected 'report' or 'sweep')"
     )

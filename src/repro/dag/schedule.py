@@ -17,7 +17,10 @@ the serialized trace, which replays stored shards on hits) are
 byte-identical to an uninterrupted run's.
 
 Ready stages within a wave fan out through a pluggable
-:mod:`~repro.dag.backends` executor. Shard ledgers merge into the run
+:mod:`~repro.dag.backends` executor. A wave's input artifacts reach the
+executing process once, through the backend's worker initializer, not
+pickled into every task: the 19 fragment stages of the report all read
+the same three world slices. Shard ledgers merge into the run
 ledger in deterministic wave order; counters add, gauges union, and
 spans serialize in canonical order, so ``trace.jsonl`` is byte-identical
 for any backend, any worker count, and any resume point. Which stages
@@ -28,6 +31,7 @@ in the ledger.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -55,9 +59,9 @@ class RunContext:
     world cache and sweep engine already honor.
     """
 
-    #: Intra-stage parallelism for kinds that shard internally (the
-    #: report fragments, a world build). Wave-level parallelism across
-    #: stages is the backend's job, not the context's.
+    #: Intra-stage parallelism for kinds that shard internally (a world
+    #: build). Wave-level parallelism across stages is the backend's
+    #: job, not the context's.
     jobs: int = 1
     #: World-cache root for kinds that build worlds (``None`` — default
     #: resolution, as everywhere else).
@@ -74,8 +78,21 @@ class _StageTask:
     name: str
     fn: Callable
     config: Mapping
-    inputs: Mapping[str, Any]
+    #: Dependency names; the artifacts themselves are the wave's shared
+    #: inputs (:func:`_share_wave_inputs`).
+    inputs: tuple[str, ...]
     ctx: RunContext
+
+
+#: The running wave's input artifacts, ``{stage name: artifact}``. A pool
+#: worker gets them once, from its initializer; in-process they are set
+#: for the length of one wave, per thread, so runs in concurrent threads
+#: never see each other's inputs.
+_wave = threading.local()
+
+
+def _share_wave_inputs(inputs: Mapping[str, Any] | None) -> None:
+    _wave.inputs = inputs
 
 
 def _execute_stage(task: _StageTask) -> Any:
@@ -86,8 +103,9 @@ def _execute_stage(task: _StageTask) -> Any:
     persisted with its artifact, and replay identically on a resume hit
     — the trace cannot tell a cached stage from an executed one.
     """
+    inputs = {dep: _wave.inputs[dep] for dep in task.inputs}
     with span(f"dag/stage/{task.name}"):
-        result = task.fn(dict(task.config), dict(task.inputs), task.ctx)
+        result = task.fn(dict(task.config), inputs, task.ctx)
     count("dag.stages.completed")
     return result
 
@@ -183,11 +201,14 @@ def run_dag(
                 name=stage.name,
                 fn=stage_kind(stage.kind).fn,
                 config=stage.config,
-                inputs={dep: artifacts[dep] for dep in stage.depends_on},
+                inputs=stage.depends_on,
                 ctx=ctx,
             )
             for stage in to_run
         ]
+        shared = {
+            dep: artifacts[dep] for stage in to_run for dep in stage.depends_on
+        }
         wave_hashes: dict[int, str] = {}
 
         def publish(index: int, outcome) -> None:
@@ -213,7 +234,18 @@ def run_dag(
                     output_hash=output_hash,
                 )
 
-        outcomes = backend.run(_execute_stage, tasks, on_result=publish)
+        try:
+            outcomes = backend.run(
+                _execute_stage,
+                tasks,
+                on_result=publish,
+                initializer=_share_wave_inputs,
+                initargs=(shared,),
+            )
+        finally:
+            # Hold no artifact past its wave: a resident service must not
+            # keep the last refresh's slices alive from module state.
+            _wave.inputs = None
         for index, (stage, (value, shard)) in enumerate(
             zip(to_run, outcomes)
         ):

@@ -16,8 +16,10 @@ algorithm with spec-declaration order breaking ties), so the scheduler's
 execution and ledger-merge order never depend on scheduling luck.
 
 Stage kinds live in a module-level registry. The built-in kinds
-(``build``, ``load-data``, ``report``, ``sweep-cell``, ``sweep-report``)
-are registered when :mod:`repro.dag` imports; user code adds its own
+(``world-source``, ``load-data``, ``world-slice``,
+``report-fragment``, ``report-assemble``, ``sweep-cell``,
+``sweep-report``) are registered when :mod:`repro.dag` imports; user
+code adds its own
 with :func:`register_stage_kind`. A kind's callable must be a
 module-level function if the DAG will run on the process-pool backend
 (tasks are pickled into workers); in-process runs accept any callable.

@@ -15,8 +15,8 @@ kinds:
   (``"build/chunk/dasu/US/0"``) and may carry a shard label. Merging
   concatenates; serialization applies a canonical sort, so merged
   ledgers are independent of completion order. Spans are the run's
-  only clock: ``repro report --profile`` renders the ``report/*`` spans
-  with :func:`format_profile`.
+  only clock: ``repro report --profile`` renders the
+  ``dag/stage/fragment/<key>`` spans with :func:`format_profile`.
 
 Workers record into a per-process *ambient* ledger installed by
 :func:`scoped` (see :func:`repro.core.executor.run_sharded`); the parent

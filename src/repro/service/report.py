@@ -4,7 +4,7 @@ A :class:`ReportService` owns one append chain rooted at a base
 :class:`~repro.datasets.world.WorldConfig`. Its :meth:`~ReportService.refresh`
 replays the chain's :class:`~repro.datasets.append.DeltaLog` to the
 current tip configuration and runs the fragment-level report DAG
-(:func:`~repro.dag.pipelines.fragment_report_spec`) against a persistent
+(:func:`~repro.dag.pipelines.report_spec`) against a persistent
 :class:`~repro.dag.store.DagStore`, so only fragments whose input
 content digests changed re-execute — appending households recomputes the
 Dasu-driven fragments while survey-only ones reload, and the assembled
@@ -152,12 +152,12 @@ class ReportService:
         ``cached``), changed ones execute. The swap at the end is the
         only mutation readers can observe.
         """
-        from ..dag import DagStore, RunContext, fragment_report_spec, run_dag
+        from ..dag import DagStore, RunContext, report_spec, run_dag
 
         config = self.log.tip_config()
         ledger = RunLedger()
         result = run_dag(
-            fragment_report_spec(config),
+            report_spec(config),
             store=DagStore(self.state_dir / "stages"),
             ledger=ledger,
             context=RunContext(

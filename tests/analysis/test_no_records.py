@@ -3,7 +3,7 @@
 Every record a :class:`~repro.datasets.columns.UserColumns` hands out is
 built by ``repro.datasets.columns._record_from_rows``. With that patched
 to raise, everything that renders or scores a cache-loaded world must
-still run: the full report (in-process and pooled), every ``analyze``
+still run: the report DAG (in-process and pooled), every ``analyze``
 entry, a sweep cell, the IQB barometer, ``--data`` loading and one
 refresh of the report service.
 """
@@ -13,8 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.iqb import format_iqb_report, iqb_payload
-from repro.analysis.paper_report import full_report
 from repro.analysis.registry import ANALYZE
+from repro.dag import (
+    InProcessBackend,
+    ProcessPoolBackend,
+    RunContext,
+    report_spec,
+    run_dag,
+)
 from repro.datasets import WorldCache, WorldConfig, build_world
 from repro.datasets.io import load_dataset_dir, write_survey_csv, write_users_npy
 from repro.service import ReportService
@@ -47,10 +53,15 @@ def world(cache_root, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_full_report(world, jobs):
-    text = full_report(
-        world.dasu.columns, world.fcc.columns, world.survey, jobs=jobs
+def test_full_report(world, cache_root, jobs):
+    """The report DAG, in-process and on a pool (forked workers inherit
+    the patch)."""
+    run = run_dag(
+        report_spec(CONFIG),
+        backend=InProcessBackend() if jobs == 1 else ProcessPoolBackend(jobs),
+        context=RunContext(cache_root=str(cache_root)),
     )
+    text = run.artifact("paper-report").files["report.txt"]
     assert "Table 1" in text and "Fig. 3" in text
 
 

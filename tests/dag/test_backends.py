@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dag import (
@@ -66,6 +69,40 @@ class TestBackendEquivalence:
         second = run_dag(spec, backend=InProcessBackend(), store=store)
         assert second.executed == ()
         assert second.artifacts == first.artifacts
+
+
+def _fan_spec(readers: int = 6) -> DagSpec:
+    """One payload stage read by ``readers`` stages of the next wave."""
+    stages = [StageSpec(name="src", kind="toy-payload", config={"value": 40})]
+    stages.extend(
+        StageSpec(name=f"r{i}", kind="toy-read", config={"offset": i},
+                  depends_on=("src",))
+        for i in range(readers)
+    )
+    return DagSpec(name="fan", stages=tuple(stages))
+
+
+class TestSharedWaveInputs:
+    def test_wave_input_pickled_at_most_once_per_worker(self):
+        """A wave's input artifacts travel through the pool initializer,
+        not inside each of the wave's tasks."""
+        toy_kinds.Payload.pickles = 0
+        result = run_dag(_fan_spec(6), backend=ProcessPoolBackend(jobs=2))
+        assert [result.artifact(f"r{i}") for i in range(6)] == [
+            40 + i for i in range(6)
+        ]
+        assert toy_kinds.Payload.pickles <= 2
+
+    @pytest.mark.parametrize(
+        "backend", [InProcessBackend(), ProcessPoolBackend(jobs=2)],
+        ids=["inprocess", "pool"],
+    )
+    def test_no_artifact_outlives_the_run(self, backend):
+        result = run_dag(_fan_spec(3), backend=backend)
+        artifact = weakref.ref(result.artifact("src"))
+        del result
+        gc.collect()
+        assert artifact() is None
 
 
 class TestBackendRegistry:

@@ -22,7 +22,7 @@ from repro.dag import (
     DagStore,
     RunContext,
     expand_pipeline,
-    fragment_report_spec,
+    report_spec,
     run_dag,
 )
 from repro.datasets import (
@@ -46,7 +46,7 @@ def warm(tmp_path_factory):
     cache = WorldCache(root / "cache")
     store = DagStore(root / "stages")
     context = RunContext(jobs=1, cache_root=str(cache.root))
-    result = run_dag(fragment_report_spec(CONFIG), store=store, context=context)
+    result = run_dag(report_spec(CONFIG), store=store, context=context)
     return cache, store, context, result
 
 
@@ -59,7 +59,7 @@ def test_report_byte_identical_to_full_report(warm):
 
 def test_warm_rerun_reloads_every_fragment(warm):
     _, store, context, _ = warm
-    result = run_dag(fragment_report_spec(CONFIG), store=store, context=context)
+    result = run_dag(report_spec(CONFIG), store=store, context=context)
     assert not [s for s in result.executed if s.startswith("fragment/")]
     assert "paper-report" in result.cached
 
@@ -70,7 +70,7 @@ def test_append_recomputes_only_changed_fragments(warm):
     cache, store, context, _ = warm
     appended = append_world(CONFIG, AppendDelta(n_dasu_users=16), cache=cache)
     result = run_dag(
-        fragment_report_spec(appended.config), store=store, context=context
+        report_spec(appended.config), store=store, context=context
     )
     executed = {s for s in result.executed if s.startswith("fragment/")}
     cached = {s for s in result.cached if s.startswith("fragment/")}
@@ -91,7 +91,7 @@ def test_append_recomputes_only_changed_fragments(warm):
 
 def test_expand_pipeline_shorthand():
     spec = expand_pipeline(
-        {"pipeline": "fragment-report", "config": {"world": {"seed": 17}}}
+        {"pipeline": "report", "config": {"world": {"seed": 17}}}
     )
     names = {stage.name for stage in spec.stages}
     assert "world" in names and "paper-report" in names

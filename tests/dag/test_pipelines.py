@@ -10,15 +10,19 @@ world-cache hit flag must never re-key downstream stages).
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from repro.analysis.paper_report import full_report
+from repro.analysis.paper_report import fragment_inputs, fragment_keys, full_report
+from repro.cli import main
 from repro.dag import (
     CellOutcome,
     DagSpec,
     DagStore,
     FileBundle,
     InProcessBackend,
+    ProcessPoolBackend,
     RunContext,
     expand_pipeline,
     report_spec,
@@ -26,6 +30,7 @@ from repro.dag import (
     sweep_spec,
 )
 from repro.datasets import WorldConfig, build_world
+from repro.datasets.io import load_dataset_dir
 from repro.exceptions import DagError, SweepError
 from repro.sweep import format_sweep_report, run_sweep, sweep_payload
 
@@ -36,11 +41,73 @@ REPORT_CONFIG = WorldConfig(
 )
 
 
+#: The report DAG's stage names, in declaration order.
+REPORT_STAGES = [
+    "world",
+    "slice/dasu",
+    "slice/fcc",
+    "slice/survey",
+    *(f"fragment/{key}" for key in fragment_keys()),
+    "paper-report",
+]
+
+
+@pytest.fixture(scope="module")
+def data_dirs(tmp_path_factory):
+    """``--data`` directories: one from ``repro build``, the same one
+    without ``survey.csv``, and one from a build with no FCC rows."""
+    root = tmp_path_factory.mktemp("report-data")
+    world = ["--seed", "5", "--users", "150", "--days", "1.0",
+             "--cache-dir", str(root / "wc")]
+    assert main(["build", "--out", str(root / "built"), "--fcc", "40",
+                 *world]) == 0
+    shutil.copytree(root / "built", root / "no-survey")
+    (root / "no-survey" / "survey.csv").unlink()
+    assert main(["build", "--out", str(root / "no-fcc"), "--fcc", "0",
+                 *world]) == 0
+    return {name: root / name for name in ("built", "no-survey", "no-fcc")}
+
+
 class TestReportSpec:
     def test_shape(self):
         spec = report_spec(REPORT_CONFIG)
-        assert [s.name for s in spec.stages] == ["world", "paper-report"]
-        assert spec.stage("paper-report").depends_on == ("world",)
+        assert [s.name for s in spec.stages] == REPORT_STAGES
+        assert spec.stage("world").kind == "world-source"
+        for name in ("dasu", "fcc", "survey"):
+            stage = spec.stage(f"slice/{name}")
+            assert stage.kind == "world-slice"
+            assert stage.depends_on == ("world",)
+        for key in fragment_keys():
+            stage = spec.stage(f"fragment/{key}")
+            assert stage.kind == "report-fragment"
+            assert stage.depends_on == tuple(
+                f"slice/{s}" for s in fragment_inputs(key)
+            )
+        assembly = spec.stage("paper-report")
+        assert assembly.kind == "report-assemble"
+        assert set(assembly.depends_on) == set(REPORT_STAGES[1:-1])
+        from_data = report_spec(data_dir="/data")
+        assert [s.name for s in from_data.stages] == REPORT_STAGES
+        assert from_data.stage("world").kind == "load-data"
+
+    @pytest.mark.parametrize("backend", ["inprocess", "pool"])
+    @pytest.mark.parametrize("name", ["built", "no-survey", "no-fcc"])
+    def test_data_dir_matches_full_report(self, data_dirs, name, backend):
+        data = data_dirs[name]
+        run = run_dag(
+            report_spec(data_dir=str(data)),
+            backend=(
+                InProcessBackend() if backend == "inprocess"
+                else ProcessPoolBackend(2)
+            ),
+            context=RunContext(data_dir=str(data)),
+        )
+        direct = full_report(*load_dataset_dir(data))
+        assert run.artifact("paper-report").files["report.txt"] == (
+            direct + "\n"
+        )
+        if name == "no-survey":
+            assert run.artifact("slice/survey").data is None
 
     def test_needs_exactly_one_source(self):
         with pytest.raises(DagError, match="exactly one"):
@@ -174,7 +241,7 @@ class TestExpandPipeline:
             "config": {"world": {"seed": 9, "n_dasu_users": 50,
                                  "n_fcc_users": 10}},
         })
-        assert [s.name for s in spec.stages] == ["world", "paper-report"]
+        assert [s.name for s in spec.stages] == REPORT_STAGES
         assert spec.stage("world").config["world"]["seed"] == 9
         # Partial payloads are canonicalized to the full config.
         assert "days_per_year" in spec.stage("world").config["world"]
@@ -221,8 +288,11 @@ class TestExpandPipeline:
             )
 
     def test_unknown_pipeline_rejected(self):
-        with pytest.raises(DagError, match="unknown pipeline"):
+        expected = r"\(expected 'report' or 'sweep'\)"
+        with pytest.raises(DagError, match=f"unknown pipeline 'simulate' {expected}"):
             expand_pipeline({"pipeline": "simulate"})
+        with pytest.raises(DagError, match="unknown pipeline 'fragment-report'"):
+            expand_pipeline({"pipeline": "fragment-report"})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(DagError, match="unknown keys"):

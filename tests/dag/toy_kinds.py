@@ -46,6 +46,34 @@ def volatile(config: dict, inputs: dict, ctx) -> int:
     return len(path.read_text()) if path.exists() else 0
 
 
+class Payload:
+    """An artifact that counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return (Payload, (self.value,))
+
+
+def payload(config: dict, inputs: dict, ctx) -> Payload:
+    return Payload(int(config["value"]))
+
+
+def payload_fingerprint(artifact: Payload) -> str:
+    # Hash without pickling, so only shipping the payload counts.
+    return f"payload:{artifact.value}"
+
+
+def read_payload(config: dict, inputs: dict, ctx) -> int:
+    """Read one :class:`Payload` input plus a configured offset."""
+    (value,) = inputs.values()
+    return value.value + int(config["offset"])
+
+
 def boom(config: dict, inputs: dict, ctx) -> int:
     """A kind that always fails — for mid-wave crash tests."""
     raise RuntimeError("toy-boom detonated")
@@ -56,3 +84,5 @@ register_stage_kind("toy-combine", combine)
 register_stage_kind("toy-logged", logged)
 register_stage_kind("toy-volatile", volatile, cacheable=False)
 register_stage_kind("toy-boom", boom)
+register_stage_kind("toy-payload", payload, fingerprint=payload_fingerprint)
+register_stage_kind("toy-read", read_payload)
