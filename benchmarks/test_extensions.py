@@ -28,11 +28,13 @@ def test_extension_qed_vs_natural_experiment(benchmark, paper_world):
     capacity = columns.capacity_down_mbps
     in_low = (0.8 < capacity) & (capacity <= 3.2)
     in_high = (3.2 < capacity) & (capacity <= 12.8)
-    # The QED stratifies record objects; the natural experiment reads
-    # the same two pools as columns.
-    records = paper_world.dasu.users
-    low = [u for u, keep in zip(records, in_low) if keep]
-    high = [u for u, keep in zip(records, in_high) if keep]
+    # The QED's units are user positions; its extractors read the same
+    # columns the natural experiment matches on. An absent (NaN) or zero
+    # price of access stratifies as 1.0.
+    latency, loss = columns.latency_ms, columns.loss_fraction
+    price = columns.price_of_access_usd
+    price = np.where(np.isnan(price) | (price == 0.0), 1.0, price)
+    peak = columns.demand("peak")
 
     def run_both():
         natural = matched_experiment(
@@ -45,15 +47,15 @@ def test_extension_qed_vs_natural_experiment(benchmark, paper_world):
         qed = QuasiExperiment(
             "qed",
             [
-                lambda u: u.latency_ms,
-                lambda u: max(u.loss_fraction, 1e-4),
-                lambda u: float(u.price_of_access_usd or 1.0),
+                lambda i: latency[i],
+                lambda i: max(loss[i], 1e-4),
+                lambda i: price[i],
             ],
             bins_per_decade=2,
         ).run(
-            low,
-            high,
-            outcome=lambda u: u.peak_no_bt_mbps,
+            np.flatnonzero(in_low),
+            np.flatnonzero(in_high),
+            outcome=lambda i: peak[i],
             rng=np.random.default_rng(0),
         )
         return natural, qed

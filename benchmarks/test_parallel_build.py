@@ -49,7 +49,7 @@ def test_parallel_build_speedup():
             f"speedup:    x{speedup:.2f}",
         ],
     )
-    assert len(parallel.all_users) == len(serial.all_users)
+    assert parallel.all_columns.n_users == serial.all_columns.n_users
     assert speedup >= 2.0, (
         f"expected >= 2x speedup from {_N_WORKERS} workers, got x{speedup:.2f}"
     )

@@ -72,16 +72,16 @@ def main() -> None:
         confounders=("latency", "loss", "price_of_access"),
         outcome=demand_outcome("peak", include_bt=False),
     )
-    # The QED stratifies record objects: the same two pools as records.
-    records = world.dasu.users
-    low = [u for u, keep in zip(records, in_low) if keep]
-    high = [u for u, keep in zip(records, in_high) if keep]
+    # The QED's units are user positions in the same two pools; its
+    # extractors read the columns.
+    latency, loss = users.latency_ms, users.loss_fraction
+    peak = users.demand("peak")
     qed = QuasiExperiment(
         "qed",
-        [lambda u: u.latency_ms, lambda u: max(u.loss_fraction, 1e-4)],
+        [lambda i: latency[i], lambda i: max(loss[i], 1e-4)],
         bins_per_decade=2,
-    ).run(low, high, outcome=lambda u: u.peak_no_bt_mbps,
-          rng=np.random.default_rng(1))
+    ).run(np.flatnonzero(in_low), np.flatnonzero(in_high),
+          outcome=lambda i: peak[i], rng=np.random.default_rng(1))
     print(f"\nCapacity effect, two estimators:")
     print(f"  natural experiment  H holds "
           f"{100 * natural.result.fraction_holds:.1f}% "

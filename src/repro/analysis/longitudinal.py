@@ -29,9 +29,9 @@ __all__ = ["Figure6Result", "YearCurve", "figure6", "year_observations"]
 
 def year_observations(users: UserColumns, year: int) -> np.ndarray:
     """Row index of each user's observation in one calendar year — the
-    user's first period starting that year, dated as
-    :func:`~repro.datasets.records.period_year` dates it — users in
-    order; users not seen that year are absent."""
+    user's first period starting that year (a period's year is
+    ``EPOCH_YEAR`` plus the whole 365-day years before its start day) —
+    users in order; users not seen that year are absent."""
     years = EPOCH_YEAR + (users.rows["start_day"] // _DAYS_PER_YEAR).astype(
         np.int64
     )

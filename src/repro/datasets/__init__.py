@@ -1,13 +1,14 @@
 """Dataset assembly: the simulated equivalents of the paper's datasets.
 
-* :mod:`repro.datasets.records` — analysis-ready record types (what a
-  cleaned measurement dataset contains; no ground truth);
+* :mod:`repro.datasets.columns` — the data model: one row per (user,
+  service period) in a numpy structured array, the only in-memory form
+  of a dataset (what a cleaned measurement dataset contains; no ground
+  truth);
 * :mod:`repro.datasets.world` — the world configuration and container;
 * :mod:`repro.datasets.builder` — the end-to-end generator: markets,
-  populations, traffic, measurement clients, record assembly;
-* :mod:`repro.datasets.columns` — the columnar data plane: user-period
-  rows as a numpy structured array, the storage behind million-household
-  worlds;
+  populations, traffic, measurement clients, row assembly;
+* :mod:`repro.datasets.records` — the per-period hourly-profile kernel
+  the builder uses;
 * :mod:`repro.datasets.io` — CSV/JSON/npy persistence for the generated
   datasets;
 * :mod:`repro.datasets.sanitize` — the hardened ingest/cleaning stage
@@ -26,15 +27,8 @@ from .columns import (
     ROW_DTYPE,
     UserColumns,
     records_to_rows,
-    rows_to_records,
 )
-from .records import PeriodObservation, UserRecord, period_year
-from .sanitize import (
-    SanitizationReport,
-    ingest_users,
-    sanitize_columns,
-    sanitize_users,
-)
+from .sanitize import SanitizationReport, ingest_users, sanitize_columns
 from .traces import UsageTrace, read_traces_npz, write_traces_npz
 from .world import DasuDataset, FccDataset, World, WorldConfig
 
@@ -47,10 +41,8 @@ __all__ = [
     "UserColumns",
     "DasuDataset",
     "FccDataset",
-    "PeriodObservation",
     "SanitizationReport",
     "UsageTrace",
-    "UserRecord",
     "World",
     "WorldCache",
     "WorldConfig",
@@ -59,11 +51,8 @@ __all__ = [
     "build_world",
     "cache_key",
     "ingest_users",
-    "period_year",
     "read_traces_npz",
     "records_to_rows",
-    "rows_to_records",
     "sanitize_columns",
-    "sanitize_users",
     "write_traces_npz",
 ]

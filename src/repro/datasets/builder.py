@@ -4,8 +4,8 @@ Generates the markets, draws subscriber populations, simulates three
 calendar years of traffic and yearly service reviews per household, runs
 the simulated measurement clients over the result, and assembles the
 analysis-ready datasets. This module is the only place where ground truth
-(latent users) and measurements meet; everything downstream sees records
-only.
+(latent users) and measurements meet; everything downstream sees the
+measured rows only.
 
 Determinism and parallelism
 ---------------------------
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ..behavior.population import LatentUser, PopulationModel
 from ..behavior.upgrades import UpgradePolicy
 from ..core.executor import resolve_jobs, run_sharded, stream_rng
 from ..core.metrics import demand_summary
-from ..core.upgrades import NetworkId, ServicePeriod
+from ..core.upgrades import NetworkId
 from ..exceptions import DatasetError
 from ..faults.injector import FaultInjector
 from ..market.countries import CountryProfile, build_profiles
@@ -52,7 +53,7 @@ from ..network.path import NetworkPath, build_path
 from ..network.technology import sample_technology
 from ..traffic.generator import generate_usage_series
 from .columns import UserColumns, records_to_rows
-from .records import PeriodObservation, UserRecord, hourly_profile
+from .records import hourly_profile
 from .sanitize import (
     SanitizationReport,
     sanitize_columns,
@@ -119,9 +120,24 @@ def _allocate_counts(weights: np.ndarray, total: int) -> np.ndarray:
 
 @dataclass
 class _YearOutcome:
-    observation: PeriodObservation
+    #: The period's values in :data:`~repro.datasets.columns.PERIOD_FIELDS`
+    #: order, ``None`` where an optional value is absent.
+    observation: tuple
     measured_peak_utilization: float
     trace: UsageTrace | None = None
+
+
+class _Household(NamedTuple):
+    """One simulated household as :func:`~repro.datasets.columns.
+    records_to_rows` takes it: its values in ``USER_FIELDS`` order and
+    one value tuple per observed period."""
+
+    user: tuple
+    observations: tuple[tuple, ...]
+
+    @property
+    def source(self) -> str:
+        return self.user[1]
 
 
 class _CountrySimulator:
@@ -405,27 +421,15 @@ class _CountrySimulator:
         latency = float(np.mean([t.rtt_ms for t in tests]))
         loss = float(np.mean([t.loss_fraction for t in tests]))
 
-        period = ServicePeriod(
-            user_id=user.user_id,
-            network=network,
-            start_day=start_day,
-            end_day=end_day,
-            capacity_mbps=capacity,
-            mean_mbps=with_bt.mean_mbps,
-            peak_mbps=with_bt.peak_mbps,
-            mean_no_bt_mbps=no_bt.mean_mbps,
-            peak_no_bt_mbps=no_bt.peak_mbps,
-        )
-        observation = PeriodObservation(
-            period=period,
-            latency_ms=latency,
-            loss_fraction=loss,
-            capacity_up_mbps=capacity_up,
-            n_ndt_tests=len(tests),
-            n_usage_samples=int(rates.size),
-            hourly_mean_mbps=hourly_profile(rates, hours),
-            mean_up_mbps=None if up_summary is None else up_summary.mean_mbps,
-            peak_up_mbps=None if up_summary is None else up_summary.peak_mbps,
+        observation = (
+            network.isp, network.prefix, network.city,
+            start_day, end_day, capacity,
+            with_bt.mean_mbps, with_bt.peak_mbps,
+            no_bt.mean_mbps, no_bt.peak_mbps,
+            latency, loss, capacity_up, len(tests), int(rates.size),
+            hourly_profile(rates, hours),
+            None if up_summary is None else up_summary.mean_mbps,
+            None if up_summary is None else up_summary.peak_mbps,
         )
         trace = None
         if keep_trace:
@@ -475,7 +479,7 @@ class _CountrySimulator:
 
     def simulate_user(
         self, user_id: str
-    ) -> tuple[UserRecord, LatentUser, tuple[UsageTrace, ...]] | None:
+    ) -> tuple[_Household, LatentUser, tuple[UsageTrace, ...]] | None:
         obs.count("build.households.simulated")
         if self.injector is not None and self.injector.household_lost():
             # Churn: the household vanished before producing any data.
@@ -519,7 +523,7 @@ class _CountrySimulator:
             else None
         )
 
-        observations: list[PeriodObservation] = []
+        observations: list[tuple] = []
         traces: list[UsageTrace] = []
         for year_index in range(entry_year, exit_year + 1):
             outcome = self._observe_year(
@@ -575,24 +579,19 @@ class _CountrySimulator:
         vantage = "gateway"
         if self.source == "dasu":
             vantage = "upnp" if self.rng.random() < 0.55 else "direct"
-        record = UserRecord(
-            user_id=user_id,
-            source=self.source,
-            country=self.profile.name,
-            region=self.profile.region.value,
-            development=self.profile.development.value,
-            vantage=vantage,
-            technology=link.technology.value,
-            bt_user=user.bt_user,
+        household = _Household(
+            user=(
+                user_id, self.source, self.profile.name,
+                self.profile.region.value, self.profile.development.value,
+                vantage, link.technology.value, user.bt_user,
+                self.market.price_of_access(),
+                self.market.upgrade_cost_usd_per_mbps,
+                self.market.economy.gdp_per_capita_ppp_usd,
+                plan.data_cap_gb, web_latency, ndt_2014,
+            ),
             observations=tuple(observations),
-            price_of_access_usd=self.market.price_of_access(),
-            upgrade_cost_usd_per_mbps=self.market.upgrade_cost_usd_per_mbps,
-            gdp_per_capita_usd=self.market.economy.gdp_per_capita_ppp_usd,
-            plan_data_cap_gb=plan.data_cap_gb,
-            web_latency_ms=web_latency,
-            ndt_2014_latency_ms=ndt_2014,
         )
-        return record, original_user, tuple(traces)
+        return household, original_user, tuple(traces)
 
 
 # -- sharded orchestration ---------------------------------------------------
@@ -706,7 +705,7 @@ def _simulate_chunk(context: _BuildContext, spec: _ChunkSpec) -> _ChunkResult:
     market = context.survey.market(spec.country)
     cities = context.cities_for(spec.stream, spec.country_index)
     report = SanitizationReport() if config.sanitize else None
-    records: list[UserRecord] = []
+    households: list[_Household] = []
     latents: list[tuple[str, LatentUser]] = []
     traces: list[tuple[str, tuple[UsageTrace, ...]]] = []
     with obs.span(
@@ -728,18 +727,17 @@ def _simulate_chunk(context: _BuildContext, spec: _ChunkSpec) -> _ChunkResult:
                 profile, market, config, rng, source=spec.source, cities=cities,
                 injector=injector, report=report,
             )
-            outcome = simulator.simulate_user(
-                f"{spec.source}-{spec.country}-{user_index:05d}"
-            )
+            user_id = f"{spec.source}-{spec.country}-{user_index:05d}"
+            outcome = simulator.simulate_user(user_id)
             if outcome is None:
                 continue
-            record, latent, user_traces = outcome
-            records.append(record)
+            household, latent, user_traces = outcome
+            households.append(household)
             if context.ground_truth:
-                latents.append((record.user_id, latent))
+                latents.append((user_id, latent))
             if user_traces:
-                traces.append((record.user_id, user_traces))
-    return (records_to_rows(records), tuple(latents), tuple(traces)), report
+                traces.append((user_id, user_traces))
+    return (records_to_rows(households), tuple(latents), tuple(traces)), report
 
 
 #: Per-process build context for pool workers (set by ``_worker_init``).
@@ -809,9 +807,8 @@ def build_world(
             ledger=ledger,
         )
 
-    # Concatenate column chunks in spec (submission) order — exactly the
-    # append order of the old object path, so the world is byte-for-byte
-    # the same for every jobs/chunk_size value.
+    # Concatenate column chunks in spec (submission) order, so the world
+    # is byte-for-byte the same for every jobs/chunk_size value.
     dasu_parts: list[np.ndarray] = []
     fcc_parts: list[np.ndarray] = []
     latents: dict[str, LatentUser] = {}
@@ -831,8 +828,8 @@ def build_world(
 
     if report is not None:
         # Record-level cleaning pass (period dedup, NDT-failure and
-        # invalid-value exclusion, minimum observed days per host),
-        # streamed user-by-user over the columns.
+        # invalid-value exclusion, minimum observed days per host) as
+        # row masks over the columns.
         dasu_columns, report = sanitize_columns(
             dasu_columns,
             dasu_interval_s=config.sample_interval_s,

@@ -21,8 +21,8 @@ the caller falls back to a clean build, never crashes.
 :meth:`WorldCache.fetch_into` renders it from the entry's columns, so a
 cache hit writes exactly the files a fresh ``build --out`` writes.
 
-Cached worlds carry **records only**: latent ground-truth users and raw
-traces are not persisted, so :func:`WorldCache.load` returns a
+Cached worlds carry **measured rows only**: latent ground-truth users
+and raw traces are not persisted, so :func:`WorldCache.load` returns a
 :class:`World` with empty ``ground_truth``/``traces`` mappings, and
 configurations with ``trace_user_fraction > 0`` bypass the cache
 entirely. No analysis reads ground truth, so cached worlds are
@@ -144,11 +144,11 @@ def _world_from_columns(
     sanitization: SanitizationReport | None = None,
     ledger: RunLedger | None = None,
 ) -> World:
-    """Reassemble a records-only :class:`World` from a columnar shard.
+    """Reassemble a :class:`World` (no ground truth, no traces) from a
+    columnar shard.
 
     Rows keep the builder's order (dasu first), so the datasets are
-    value-identical to the world that was stored; records materialize
-    lazily only for callers that iterate them.
+    byte-identical to the world that was stored.
     """
     profiles = build_profiles(
         np.random.default_rng([config.seed, 1]),

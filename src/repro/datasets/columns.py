@@ -1,15 +1,13 @@
-"""Columnar data plane: user records as numpy structured arrays.
+"""Columnar data plane: datasets as numpy structured arrays.
 
-Every dataset the analyses read is **one structured array** — one row
-per (user, service period), user-level covariates repeated per row,
-exactly like ``users.csv``. The builder, the cache, binning, matching,
-eligibility filtering and every experiment of the evaluation operate on
-whole columns; a million households stay a few arrays instead of tens
-of millions of Python objects shuttled through worker pickles.
-:class:`~repro.datasets.records.UserRecord` lists remain the builder's
-and the sanitizer's per-household unit and the input format for
-hand-assembled datasets, which convert once with
-:meth:`UserColumns.from_records`.
+Every dataset is **one structured array** — one row per (user, service
+period), user-level covariates repeated per row, exactly like
+``users.csv``. This row block is the only in-memory form of a dataset:
+the builder writes its households straight into it, sanitization keeps
+or drops its rows by mask, the cache stores it verbatim, the CSV reader
+and writer convert it a column at a time, and every experiment of the
+evaluation reads it. A million households stay a few arrays instead of
+tens of millions of Python objects shuttled through worker pickles.
 
 Representation contract
 -----------------------
@@ -22,24 +20,15 @@ Representation contract
 * **Exact values.** Floats are stored as ``f8`` — bit-identical through
   any number of round trips. ``None``-able fields store NaN plus a
   presence flag, so a *missing* value can never be confused with a
-  measured NaN, and object → rows → object reconstruction is
-  value-identical (the equivalence suite in
-  ``tests/datasets/test_columns.py`` locks this).
+  measured NaN.
 * **Grouped rows.** All rows of a user are contiguous and in
   observation order (ascending ``start_day``), mirroring both the
   builder's append order and the CSV layout. :class:`UserColumns`
   validates this on first per-user access.
 * **Batched conversion.** :func:`records_to_rows` fills each field
-  with one assignment from a list of its values; records are rebuilt
-  from one ``tolist()`` per field over a batch of users
-  (:meth:`UserColumns.iter_records` streams the batches, so memory is
-  bounded by the batch size). The per-row reference the kernels are
-  held to lives in ``tests/datasets/per_row_columns.py``.
-* **No conversion back.** The records :meth:`UserColumns.to_records`
-  returns carry the columns they were read from, and
-  :meth:`UserColumns.from_records` returns those columns unchanged. A
-  copy, a slice or a pickle of the records is a plain tuple and
-  converts as usual.
+  with one assignment from a list of its values, and
+  :func:`_record_from_rows` decodes a block of rows with one
+  ``tolist()`` per field.
 
 Strings are fixed-width UTF-8 bytes (``S``); widths are generous for
 every generator-produced value and conversion raises
@@ -50,13 +39,12 @@ assignment, which would truncate silently).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.upgrades import NetworkId, ServicePeriod
 from ..exceptions import DatasetError
-from .records import PeriodObservation, UserRecord
 
 __all__ = [
     "COLUMNS_FORMAT_VERSION",
@@ -65,7 +53,6 @@ __all__ = [
     "USER_FIELDS",
     "UserColumns",
     "records_to_rows",
-    "rows_to_records",
 ]
 
 #: Bump when :data:`ROW_DTYPE` changes in any way (field set, order, or
@@ -142,195 +129,84 @@ def _encode_str(value: str, field: str) -> bytes:
     return raw
 
 
-#: Field groups of the batched kernels, in :data:`ROW_DTYPE` order.
-_USER_STRINGS = (
-    "user_id", "source", "country", "region", "development", "vantage",
-    "technology",
-)
-_USER_OPTIONALS = (
-    "price_of_access_usd", "upgrade_cost_usd_per_mbps", "plan_data_cap_gb",
-    "web_latency_ms", "ndt_2014_latency_ms",
-)
+#: Field groups read together, in :data:`ROW_DTYPE` order.
 _NETWORK_STRINGS = ("isp", "prefix", "city")
 _PERIOD_FLOATS = (
     "start_day", "end_day", "capacity_mbps", "mean_mbps", "peak_mbps",
     "mean_no_bt_mbps", "peak_no_bt_mbps",
 )
-_OBSERVATION_VALUES = (
-    "latency_ms", "loss_fraction", "capacity_up_mbps", "n_ndt_tests",
-    "n_usage_samples",
-)
-_OBSERVATION_OPTIONALS = ("hourly_mean_mbps", "mean_up_mbps", "peak_up_mbps")
 _NAN_HOURLY = (np.nan,) * 24
 
-#: Users per :func:`_record_from_rows` call in
-#: :meth:`UserColumns.iter_records`: the streaming memory bound.
-_RECORD_BATCH_USERS = 256
+
+def _column_values(field: str, values: Sequence) -> list:
+    """One field's values, ready for a whole-column assignment: strings
+    encoded (width-checked), ``None`` replaced by the absent value."""
+    if field in _STRING_WIDTHS:
+        return [_encode_str(value, field) for value in values]
+    if field in OPTIONAL_FLAGS:
+        absent = _NAN_HOURLY if field == "hourly_mean_mbps" else np.nan
+        return [absent if value is None else value for value in values]
+    return list(values)
 
 
-def records_to_rows(users: Sequence[UserRecord]) -> np.ndarray:
-    """Flatten records into a structured array, one row per period.
+def records_to_rows(users: Sequence[tuple[tuple, Sequence[tuple]]]) -> np.ndarray:
+    """Flatten households into a row block, one row per period.
 
-    The inverse of :func:`rows_to_records`: every field (including the
-    ``None``-ness of optional fields and NaNs inside hourly profiles)
-    round-trips exactly. Each field is filled by one assignment from a
-    list of its values; user-level values repeat over the user's rows.
+    Each household is a pair ``(user, periods)``: ``user`` holds its
+    values in :data:`USER_FIELDS` order and every period its values in
+    :data:`PERIOD_FIELDS` order, ``None`` marking an absent optional
+    value (an hourly profile is 24 floats). Each field is filled by one
+    assignment from a list of its values; user-level values repeat over
+    the user's rows. The builder flattens its chunks here and the CSV
+    reader its parsed users.
     """
-    counts = [len(u.observations) for u in users]
+    # The name stays because perfbench/tracer.py wraps it by name.
+    counts = [len(periods) for _, periods in users]
     rows = np.zeros(sum(counts), dtype=ROW_DTYPE)
     if not rows.size:
         return rows
-
-    def per_user(field: str, values: list) -> None:
+    user_columns = zip(*(user for user, _ in users))
+    period_columns = zip(*(p for _, periods in users for p in periods))
+    for field, values in zip(USER_FIELDS, user_columns):
         rows[field] = np.repeat(
-            np.asarray(values, dtype=ROW_DTYPE[field]), counts
+            np.asarray(_column_values(field, values), dtype=ROW_DTYPE[field]),
+            counts,
         )
-
-    for field in _USER_STRINGS:
-        per_user(field, [_encode_str(getattr(u, field), field) for u in users])
-    per_user("bt_user", [u.bt_user for u in users])
-    per_user("gdp_per_capita_usd", [u.gdp_per_capita_usd for u in users])
-    for field in _USER_OPTIONALS:
-        values = [getattr(u, field) for u in users]
-        per_user(field, [np.nan if v is None else v for v in values])
-        per_user(OPTIONAL_FLAGS[field], [v is not None for v in values])
-
-    observations = [obs for u in users for obs in u.observations]
-    periods = [obs.period for obs in observations]
-    networks = [p.network for p in periods]
-    for field in _NETWORK_STRINGS:
-        rows[field] = [_encode_str(getattr(n, field), field) for n in networks]
-    for field in _PERIOD_FLOATS:
-        rows[field] = [getattr(p, field) for p in periods]
-    for field in _OBSERVATION_VALUES:
-        rows[field] = [getattr(obs, field) for obs in observations]
-    for field in _OBSERVATION_OPTIONALS:
-        values = [getattr(obs, field) for obs in observations]
-        absent = _NAN_HOURLY if field == "hourly_mean_mbps" else np.nan
-        rows[field] = [absent if v is None else v for v in values]
-        rows[OPTIONAL_FLAGS[field]] = [v is not None for v in values]
+        if field in OPTIONAL_FLAGS:
+            rows[OPTIONAL_FLAGS[field]] = np.repeat(
+                [value is not None for value in values], counts
+            )
+    for field, values in zip(PERIOD_FIELDS, period_columns):
+        rows[field] = _column_values(field, values)
+        if field in OPTIONAL_FLAGS:
+            rows[OPTIONAL_FLAGS[field]] = [value is not None for value in values]
     return rows
 
 
-def _decoded(rows: np.ndarray, field: str) -> list[str]:
-    return [value.decode("utf-8") for value in rows[field].tolist()]
-
-
-def _optional(rows: np.ndarray, field: str) -> list:
-    return [
-        value if present else None
-        for value, present in zip(
-            rows[field].tolist(), rows[OPTIONAL_FLAGS[field]].tolist()
-        )
-    ]
-
-
-def _record_from_rows(block: np.ndarray, counts: np.ndarray) -> list[UserRecord]:
-    """Rebuild the records of a batch of users from their contiguous row
-    block (``counts`` rows per user, in order).
-
-    Every field is read with one ``tolist()`` over the block; user-level
-    fields come from each user's first row.
+def _record_from_rows(block: np.ndarray) -> list[list]:
+    """Decode a block of rows into one list per column, in
+    :data:`USER_FIELDS` + :data:`PERIOD_FIELDS` order: strings decoded,
+    ``None`` where an optional value is absent, hourly profiles as lists
+    of 24 floats. One ``tolist()`` per field; the CSV writer's decoder.
     """
-    firsts = block[np.cumsum(counts) - counts]
-    user_ids = _decoded(firsts, "user_id")
-    isp, prefix, city = (_decoded(block, f) for f in _NETWORK_STRINGS)
-    start_day, end_day, capacity, mean, peak, mean_no_bt, peak_no_bt = (
-        block[f].tolist() for f in _PERIOD_FLOATS
-    )
-    latency, loss, capacity_up, n_ndt, n_samples = (
-        block[f].tolist() for f in _OBSERVATION_VALUES
-    )
-    hourly = [
-        None if values is None else tuple(values)
-        for values in _optional(block, "hourly_mean_mbps")
-    ]
-    mean_up = _optional(block, "mean_up_mbps")
-    peak_up = _optional(block, "peak_up_mbps")
-    source, country, region, development, vantage, technology = (
-        _decoded(firsts, f) for f in _USER_STRINGS[1:]
-    )
-    price, upgrade_cost, data_cap, web_latency, ndt_2014_latency = (
-        _optional(firsts, f) for f in _USER_OPTIONALS
-    )
-    bt_user = firsts["bt_user"].tolist()
-    gdp = firsts["gdp_per_capita_usd"].tolist()
-
-    records = []
-    stop = 0
-    for i, count in enumerate(counts.tolist()):
-        start, stop = stop, stop + count
-        user_id = user_ids[i]
-        observations = tuple(
-            PeriodObservation(
-                period=ServicePeriod(
-                    user_id=user_id,
-                    network=NetworkId(isp=isp[r], prefix=prefix[r], city=city[r]),
-                    start_day=start_day[r],
-                    end_day=end_day[r],
-                    capacity_mbps=capacity[r],
-                    mean_mbps=mean[r],
-                    peak_mbps=peak[r],
-                    mean_no_bt_mbps=mean_no_bt[r],
-                    peak_no_bt_mbps=peak_no_bt[r],
-                ),
-                latency_ms=latency[r],
-                loss_fraction=loss[r],
-                capacity_up_mbps=capacity_up[r],
-                n_ndt_tests=n_ndt[r],
-                n_usage_samples=n_samples[r],
-                hourly_mean_mbps=hourly[r],
-                mean_up_mbps=mean_up[r],
-                peak_up_mbps=peak_up[r],
-            )
-            for r in range(start, stop)
-        )
-        records.append(
-            UserRecord(
-                user_id=user_id,
-                source=source[i],
-                country=country[i],
-                region=region[i],
-                development=development[i],
-                vantage=vantage[i],
-                technology=technology[i],
-                bt_user=bt_user[i],
-                observations=observations,
-                price_of_access_usd=price[i],
-                upgrade_cost_usd_per_mbps=upgrade_cost[i],
-                gdp_per_capita_usd=gdp[i],
-                plan_data_cap_gb=data_cap[i],
-                web_latency_ms=web_latency[i],
-                ndt_2014_latency_ms=ndt_2014_latency[i],
-            )
-        )
-    return records
-
-
-def rows_to_records(rows: np.ndarray) -> list[UserRecord]:
-    """Materialize records from a structured array (inverse of
-    :func:`records_to_rows`)."""
-    return list(UserColumns(rows).iter_records())
-
-
-class _ColumnRecords(tuple):
-    """Every record of a :class:`UserColumns`, in row order, remembering
-    the columns they were read from so that
-    :meth:`UserColumns.from_records` hands those back instead of
-    converting again. Pickles as a plain tuple: the columns stay
-    behind."""
-
-    def __new__(cls, columns: "UserColumns") -> "_ColumnRecords":
-        records = super().__new__(cls, columns.iter_records())
-        records.columns = columns
-        return records
-
-    def __reduce__(self):
-        return (tuple, (tuple(self),))
+    # The name stays because perfbench/tracer.py wraps it by name.
+    columns = []
+    for field in USER_FIELDS + PERIOD_FIELDS:
+        values = block[field].tolist()
+        if field in _STRING_WIDTHS:
+            values = [value.decode("utf-8") for value in values]
+        flag = OPTIONAL_FLAGS.get(field)
+        if flag is not None:
+            values = [
+                value if present else None
+                for value, present in zip(values, block[flag].tolist())
+            ]
+        columns.append(values)
+    return columns
 
 
 class UserColumns:
-    """A dataset of user records held as one structured array.
+    """A dataset held as one structured array of period rows.
 
     Thin and immutable by convention: every transformation
     (:meth:`select_users`, :meth:`concat`) returns a new instance. The
@@ -358,14 +234,6 @@ class UserColumns:
     @classmethod
     def empty(cls) -> "UserColumns":
         return cls(np.zeros(0, dtype=ROW_DTYPE))
-
-    @classmethod
-    def from_records(cls, users: Sequence[UserRecord]) -> "UserColumns":
-        """Columns holding ``users``; records read by :meth:`to_records`
-        return the columns they came from, unconverted."""
-        if isinstance(users, _ColumnRecords):
-            return users.columns
-        return cls(records_to_rows(users))
 
     @classmethod
     def concat(cls, parts: Iterable["UserColumns | np.ndarray"]) -> "UserColumns":
@@ -480,7 +348,8 @@ class UserColumns:
         return self.current("gdp_per_capita_usd")
 
     def demand(self, metric: str = "peak", include_bt: bool = False) -> np.ndarray:
-        """Per-user current-period demand, as :meth:`UserRecord.demand`."""
+        """Per-user current-period demand statistic by name
+        (``"peak"``/``"mean"``, with or without BitTorrent)."""
         if metric not in ("peak", "mean"):
             raise DatasetError(f"unknown demand metric {metric!r}")
         field = f"{metric}_mbps" if include_bt else f"{metric}_no_bt_mbps"
@@ -488,9 +357,9 @@ class UserColumns:
 
     @property
     def peak_utilization(self) -> np.ndarray:
-        """Per-user peak utilization, clipped to 1, as
-        :meth:`UserRecord.peak_utilization` (``fmin``: a NaN peak clips
-        to 1, like the scalar ``min``)."""
+        """Per-user 95th-percentile link utilization without
+        BitTorrent-active intervals, clipped to 1 (``fmin``: a NaN peak
+        clips to 1, like the scalar ``min``)."""
         return np.fmin(
             1.0, self.current("peak_no_bt_mbps") / self.capacity_down_mbps
         )
@@ -526,22 +395,3 @@ class UserColumns:
             ),
             **{f: float(values[f]) for f in _PERIOD_FLOATS},
         )
-
-    # -- object views -----------------------------------------------------
-
-    def iter_records(self) -> Iterator[UserRecord]:
-        """Stream the records in row order, converting
-        ``_RECORD_BATCH_USERS`` users at a time (memory bounded by the
-        batch)."""
-        starts, counts = self._index()
-        for first in range(0, starts.size, _RECORD_BATCH_USERS):
-            batch = counts[first : first + _RECORD_BATCH_USERS]
-            start = int(starts[first])
-            yield from _record_from_rows(
-                self._rows[start : start + int(batch.sum())], batch
-            )
-
-    def to_records(self) -> tuple[UserRecord, ...]:
-        """Every record, as a tuple that remembers these columns (see
-        :meth:`from_records`)."""
-        return _ColumnRecords(self)

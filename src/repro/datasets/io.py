@@ -12,9 +12,11 @@ cleaned data:
 * ``plans.csv`` — the retail-plan survey;
 * ``config.json`` — the world configuration, for provenance.
 
-Round-tripping through :func:`write_users_csv` / :func:`read_users_csv`
-reconstructs equivalent :class:`~repro.datasets.records.UserRecord`
-objects (extras and 2014 follow-up fields included).
+Both CSV directions work on :class:`~repro.datasets.columns.UserColumns`:
+:func:`read_users_csv` parses the lines into the row block and
+:func:`write_users_csv` decodes it a batch of rows at a time. Round trips
+through them keep every value, except hourly profiles, which the CSV
+stores at ``%.6g``.
 """
 
 from __future__ import annotations
@@ -26,15 +28,21 @@ import json
 import numbers
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from ..core.upgrades import NetworkId, ServicePeriod
 from ..exceptions import DatasetError
 from ..market.survey import PlanSurvey
-from .columns import PERIOD_FIELDS, ROW_DTYPE, USER_FIELDS, UserColumns
-from .records import PeriodObservation, UserRecord
+from .columns import (
+    _STRING_WIDTHS,
+    PERIOD_FIELDS,
+    ROW_DTYPE,
+    USER_FIELDS,
+    UserColumns,
+    _encode_str,
+    _record_from_rows,
+    records_to_rows,
+)
 from .world import WorldConfig
 
 __all__ = [
@@ -105,72 +113,126 @@ def _field(row: Mapping, name: str, convert):
         raise DatasetError(f"column {name!r}: {exc}") from None
 
 
-def write_users_csv(
-    users: "Sequence[UserRecord] | UserColumns", path: str | Path
-) -> int:
-    """Write user records (one row per service period); returns row count.
+#: Rows decoded per :func:`_record_from_rows` call while writing
+#: ``users.csv``: the writer's memory bound.
+_WRITE_BATCH_ROWS = 4096
+_BT_USER = USER_FIELDS.index("bt_user")
+_HOURLY = len(USER_FIELDS) + PERIOD_FIELDS.index("hourly_mean_mbps")
 
-    Accepts either an object-path record sequence or a columnar dataset;
-    a columnar input streams its records one batch of users at a time
-    (see :meth:`UserColumns.iter_records`) and writes byte-identical text — f8 columns round-trip Python floats
-    exactly, so the shortest-repr rendering is unchanged.
+
+def write_users_csv(columns: UserColumns, path: str | Path) -> int:
+    """Write a dataset as ``users.csv`` (one row per service period);
+    returns the row count.
+
+    Rows are decoded ``_WRITE_BATCH_ROWS`` at a time, one ``tolist()``
+    per field. Floats are written as their shortest ``repr`` (``f8``
+    columns round-trip Python floats exactly), absent optional values
+    as empty cells, hourly profiles ``;``-joined at ``%.6g``.
     """
     path = Path(path)
-    if isinstance(users, UserColumns):
-        users = users.iter_records()
-    n_rows = 0
+    rows = columns.rows
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_USER_FIELDS + _PERIOD_FIELDS)
-        for user in users:
-            base = [
-                user.user_id, user.source, user.country, user.region,
-                user.development, user.vantage, user.technology,
-                int(user.bt_user),
-                "" if user.price_of_access_usd is None else user.price_of_access_usd,
-                "" if user.upgrade_cost_usd_per_mbps is None else user.upgrade_cost_usd_per_mbps,
-                user.gdp_per_capita_usd,
-                "" if user.plan_data_cap_gb is None else user.plan_data_cap_gb,
-                "" if user.web_latency_ms is None else user.web_latency_ms,
-                "" if user.ndt_2014_latency_ms is None else user.ndt_2014_latency_ms,
-            ]
-            for obs in user.observations:
-                p = obs.period
-                writer.writerow(
-                    base
-                    + [
-                        p.network.isp, p.network.prefix, p.network.city,
-                        p.start_day, p.end_day, p.capacity_mbps,
-                        p.mean_mbps, p.peak_mbps, p.mean_no_bt_mbps,
-                        p.peak_no_bt_mbps, obs.latency_ms,
-                        obs.loss_fraction, obs.capacity_up_mbps,
-                        obs.n_ndt_tests, obs.n_usage_samples,
-                        _encode_profile(obs.hourly_mean_mbps),
-                        "" if obs.mean_up_mbps is None else obs.mean_up_mbps,
-                        "" if obs.peak_up_mbps is None else obs.peak_up_mbps,
-                    ]
-                )
-                n_rows += 1
-    return n_rows
+        for start in range(0, rows.size, _WRITE_BATCH_ROWS):
+            cells = _record_from_rows(rows[start : start + _WRITE_BATCH_ROWS])
+            cells[_BT_USER] = [int(flag) for flag in cells[_BT_USER]]
+            cells[_HOURLY] = [_encode_profile(p) for p in cells[_HOURLY]]
+            writer.writerows(zip(*cells))
+    return int(rows.size)
+
+
+#: String columns, checked against their columnar widths on every line.
+_STRING_FIELDS = [f for f in _USER_FIELDS + _PERIOD_FIELDS if f in _STRING_WIDTHS]
+_USER_STRINGS = [f for f in _USER_FIELDS if f in _STRING_WIDTHS]
+
+
+def _parse_period(row: Mapping) -> tuple:
+    """One CSV line's period values, in :data:`PERIOD_FIELDS` order.
+
+    Checks, in this order (the first failure is the line's message):
+    the window and demand numbers parse, the window has positive
+    duration, capacity is positive, the measured numbers and the hourly
+    profile parse, latency is positive, loss is a fraction, and every
+    string cell of the line fits its column.
+    """
+    user_id = row["user_id"]
+    start_day = _field(row, "start_day", float)
+    end_day = _field(row, "end_day", float)
+    capacity = _field(row, "capacity_mbps", float)
+    demand = [
+        _field(row, name, float)
+        for name in ("mean_mbps", "peak_mbps", "mean_no_bt_mbps", "peak_no_bt_mbps")
+    ]
+    if end_day <= start_day:
+        raise DatasetError(
+            f"service period for {user_id} has non-positive duration"
+        )
+    if capacity <= 0:
+        raise DatasetError(
+            f"service period for {user_id} has non-positive capacity"
+        )
+    latency = _field(row, "latency_ms", float)
+    loss = _field(row, "loss_fraction", float)
+    measured = (
+        _field(row, "capacity_up_mbps", float),
+        _field(row, "n_ndt_tests", int),
+        _field(row, "n_usage_samples", int),
+        _field(row, "hourly_mean_mbps", _decode_profile),
+        _field(row, "mean_up_mbps", _optional),
+        _field(row, "peak_up_mbps", _optional),
+    )
+    if latency <= 0:
+        raise DatasetError("period latency must be positive")
+    if not 0.0 <= loss <= 1.0:
+        raise DatasetError("period loss must be in [0, 1]")
+    for name in _STRING_FIELDS:
+        _field(row, name, lambda value: _encode_str(value, name))
+    return (
+        row["isp"], row["prefix"], row["city"], start_day, end_day, capacity,
+        *demand, latency, loss, *measured,
+    )
+
+
+def _parse_user(row: Mapping, periods: list[tuple]) -> tuple:
+    """A user's values in :data:`USER_FIELDS` order, from its first
+    line; ``periods`` are its parsed periods in ``start_day`` order."""
+    values = (
+        *(row[name] for name in _USER_STRINGS),
+        bool(_field(row, "bt_user", int)),
+        _field(row, "price_of_access_usd", _optional),
+        _field(row, "upgrade_cost_usd_per_mbps", _optional),
+        _field(row, "gdp_per_capita_usd", float),
+        _field(row, "plan_data_cap_gb", _optional),
+        _field(row, "web_latency_ms", _optional),
+        _field(row, "ndt_2014_latency_ms", _optional),
+    )
+    if row["source"] not in ("dasu", "fcc"):
+        raise DatasetError(f"unknown source {row['source']!r}")
+    days = [period[3] for period in periods]
+    if days != sorted(days):  # only NaN days can leave them unordered
+        raise DatasetError(f"{row['user_id']}: observations out of order")
+    return values
 
 
 def read_users_csv(
     path: str | Path, errors: list[str] | None = None
-) -> list[UserRecord]:
-    """Read user records written by :func:`write_users_csv`.
+) -> UserColumns:
+    """Read a dataset written by :func:`write_users_csv`, users in
+    ``user_id`` order and each user's periods in ``start_day`` order.
 
-    Strict by default: any malformed row raises a :class:`DatasetError`
-    naming the file, line number, and offending column. Pass an
-    ``errors`` list to read leniently instead — rows (or whole users)
-    that fail to parse or validate are skipped and one message per
-    casualty (same format as the strict raise) is appended to the list.
-    The lenient path is what
+    A user's user-level values come from its first line. Strict by
+    default: any malformed row raises a :class:`DatasetError` naming the
+    file, line number, and offending column. Pass an ``errors`` list to
+    read leniently instead — rows (or whole users) that fail to parse or
+    validate are skipped and one message per casualty (same format as
+    the strict raise) is appended to the list. The lenient path is what
     :func:`repro.datasets.sanitize.ingest_users` builds on for datasets
     of unknown hygiene.
     """
     path = Path(path)
     lenient = errors is not None
-    grouped: dict[str, dict] = {}
+    grouped: dict[str, tuple[Mapping, list[tuple]]] = {}
     with path.open(newline="") as handle:
         reader = csv.DictReader(handle)
         expected = set(_USER_FIELDS + _PERIOD_FIELDS)
@@ -178,80 +240,26 @@ def read_users_csv(
             raise DatasetError(f"{path}: unexpected columns")
         for line, row in enumerate(reader, start=2):
             try:
-                period = ServicePeriod(
-                    user_id=row["user_id"],
-                    network=NetworkId(row["isp"], row["prefix"], row["city"]),
-                    start_day=_field(row, "start_day", float),
-                    end_day=_field(row, "end_day", float),
-                    capacity_mbps=_field(row, "capacity_mbps", float),
-                    mean_mbps=_field(row, "mean_mbps", float),
-                    peak_mbps=_field(row, "peak_mbps", float),
-                    mean_no_bt_mbps=_field(row, "mean_no_bt_mbps", float),
-                    peak_no_bt_mbps=_field(row, "peak_no_bt_mbps", float),
-                )
-                observation = PeriodObservation(
-                    period=period,
-                    latency_ms=_field(row, "latency_ms", float),
-                    loss_fraction=_field(row, "loss_fraction", float),
-                    capacity_up_mbps=_field(row, "capacity_up_mbps", float),
-                    n_ndt_tests=_field(row, "n_ndt_tests", int),
-                    n_usage_samples=_field(row, "n_usage_samples", int),
-                    hourly_mean_mbps=_field(
-                        row, "hourly_mean_mbps", _decode_profile
-                    ),
-                    mean_up_mbps=_field(row, "mean_up_mbps", _optional),
-                    peak_up_mbps=_field(row, "peak_up_mbps", _optional),
-                )
+                period = _parse_period(row)
             except (ValueError, TypeError, KeyError, DatasetError) as exc:
                 message = f"{path}:{line}: {exc}"
                 if not lenient:
                     raise DatasetError(message) from None
                 errors.append(message)
                 continue
-            entry = grouped.setdefault(
-                row["user_id"], {"row": row, "observations": []}
-            )
-            entry["observations"].append(observation)
+            grouped.setdefault(row["user_id"], (row, []))[1].append(period)
     users = []
-    for entry in grouped.values():
-        row = entry["row"]
-        observations = sorted(
-            entry["observations"], key=lambda o: o.period.start_day
-        )
+    for row, periods in grouped.values():
+        periods.sort(key=lambda period: period[3])
         try:
-            users.append(
-                UserRecord(
-                    user_id=row["user_id"],
-                    source=row["source"],
-                    country=row["country"],
-                    region=row["region"],
-                    development=row["development"],
-                    vantage=row["vantage"],
-                    technology=row["technology"],
-                    bt_user=bool(_field(row, "bt_user", int)),
-                    observations=tuple(observations),
-                    price_of_access_usd=_field(
-                        row, "price_of_access_usd", _optional
-                    ),
-                    upgrade_cost_usd_per_mbps=_field(
-                        row, "upgrade_cost_usd_per_mbps", _optional
-                    ),
-                    gdp_per_capita_usd=_field(
-                        row, "gdp_per_capita_usd", float
-                    ),
-                    plan_data_cap_gb=_field(row, "plan_data_cap_gb", _optional),
-                    web_latency_ms=_field(row, "web_latency_ms", _optional),
-                    ndt_2014_latency_ms=_field(
-                        row, "ndt_2014_latency_ms", _optional
-                    ),
-                )
-            )
+            users.append((_parse_user(row, periods), periods))
         except (ValueError, TypeError, KeyError, DatasetError) as exc:
             message = f"{path}: user {row.get('user_id', '?')}: {exc}"
             if not lenient:
                 raise DatasetError(message) from None
             errors.append(message)
-    return sorted(users, key=lambda u: u.user_id)
+    users.sort(key=lambda user: user[0][0])
+    return UserColumns(records_to_rows(users))
 
 
 def write_users_npy(columns: UserColumns, path: str | Path) -> int:
@@ -529,9 +537,8 @@ def load_dataset_dir(
     (``survey`` is ``None`` without a ``survey.csv``), users in
     ``user_id`` order either way.
 
-    A readable ``users.npy`` shard is the fast path: no CSV parsing, no
-    records, and full-precision hourly profiles (the CSV stores them at
-    %.6g)."""
+    A readable ``users.npy`` shard is the fast path: no CSV parsing and
+    full-precision hourly profiles (the CSV stores them at %.6g)."""
     data_dir = Path(data_dir)
     users = None
     npy_path = data_dir / "users.npy"
@@ -548,7 +555,7 @@ def load_dataset_dir(
         users_path = data_dir / "users.csv"
         if not users_path.exists():
             raise DatasetError(f"no users.csv under {data_dir}")
-        users = UserColumns.from_records(read_users_csv(users_path))
+        users = read_users_csv(users_path)
     survey_path = data_dir / "survey.csv"
     return (
         users.select_users(users.source_mask("dasu")),

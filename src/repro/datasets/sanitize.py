@@ -14,10 +14,11 @@ Two layers:
   :func:`repair_wraps`, :func:`dedup_samples`) — run inside the world
   builder between collection and summarization, where the per-interval
   rate samples still exist;
-* **record-level** (:func:`sanitize_users`, :func:`ingest_users`) — run
-  over assembled :class:`~repro.datasets.records.UserRecord` datasets:
-  period dedup, NDT-failure exclusion, invalid-value exclusion, and the
-  paper's minimum-observation floor per host.
+* **record-level** (:func:`sanitize_columns`, :func:`ingest_users`) —
+  run over assembled datasets (:class:`~repro.datasets.columns.
+  UserColumns`) as row masks plus per-user reductions: period dedup,
+  NDT-failure exclusion, invalid-value exclusion, and the paper's
+  minimum-observation floor per host.
 
 The ``-1`` sentinel convention of
 :func:`repro.measurement.upnp.deltas_from_readings` and
@@ -31,15 +32,13 @@ sentinels can never reach a
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import DatasetError
 from ..faults.injector import wrap_quantum_mbps
-from .records import UserRecord
+from .columns import ROW_DTYPE, UserColumns
 
 __all__ = [
     "MIN_NDT_TESTS",
@@ -51,7 +50,6 @@ __all__ = [
     "repair_wraps",
     "sanitize_columns",
     "sanitize_samples",
-    "sanitize_users",
     "strip_sentinels",
 ]
 
@@ -329,43 +327,54 @@ def sanitize_samples(
 
 
 # ---------------------------------------------------------------------------
-# Record-level rules (assembled datasets, at ingest).
+# Record-level rules (assembled datasets, as row masks).
 # ---------------------------------------------------------------------------
 
+#: Summary values that must be finite for a period to count.
+_FINITE_FIELDS = (
+    "capacity_mbps", "mean_mbps", "peak_mbps", "mean_no_bt_mbps",
+    "peak_no_bt_mbps", "latency_ms", "loss_fraction", "capacity_up_mbps",
+)
+#: What makes two periods of one user the same period.
+_PERIOD_KEY = ("isp", "prefix", "city", "start_day", "end_day")
 
-def _observed_days(user: UserRecord, dasu_interval_s: float) -> float:
-    """Wall-clock days of usable collection across a user's periods."""
-    per_sample_s = (
-        dasu_interval_s if user.source == "dasu" else _GATEWAY_INTERVAL_S
+
+def _duplicate_periods(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Rows repeating an earlier row of the same user: same network and
+    a window equal under float ``==`` (``-0.0`` equals ``0.0``; a NaN
+    day equals nothing, so such a row is never a duplicate)."""
+    key = np.empty(
+        rows.size, dtype=[("user", "i8")] + [(f, ROW_DTYPE[f]) for f in _PERIOD_KEY]
     )
-    samples = sum(o.n_usage_samples for o in user.observations)
-    return samples * per_sample_s / _SECONDS_PER_DAY
+    key["user"] = owner
+    for field in _PERIOD_KEY:
+        key[field] = rows[field]
+    # A stable sort compares fields with float semantics, so equal keys
+    # end up adjacent with the earliest row first.
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    duplicate = np.zeros(rows.size, dtype=bool)
+    duplicate[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return duplicate
 
 
-def _period_is_valid(obs) -> bool:
-    p = obs.period
-    values = (
-        p.capacity_mbps, p.mean_mbps, p.peak_mbps,
-        p.mean_no_bt_mbps, p.peak_no_bt_mbps,
-        obs.latency_ms, obs.loss_fraction, obs.capacity_up_mbps,
-    )
-    if any(not math.isfinite(v) for v in values):
-        return False
-    return (
-        p.mean_mbps >= 0 and p.peak_mbps >= 0
-        and p.mean_no_bt_mbps >= 0 and p.peak_no_bt_mbps >= 0
-        and obs.capacity_up_mbps > 0
-    )
+def _valid_periods(rows: np.ndarray) -> np.ndarray:
+    """Rows whose summaries are finite and non-negative, with a positive
+    upload capacity."""
+    valid = np.logical_and.reduce([np.isfinite(rows[f]) for f in _FINITE_FIELDS])
+    for field in ("mean_mbps", "peak_mbps", "mean_no_bt_mbps", "peak_no_bt_mbps"):
+        valid &= rows[field] >= 0
+    return valid & (rows["capacity_up_mbps"] > 0)
 
 
-def sanitize_users(
-    users: Sequence[UserRecord],
+def sanitize_columns(
+    columns: UserColumns,
     *,
     dasu_interval_s: float = 30.0,
     min_observed_days: float = MIN_OBSERVED_DAYS,
     min_ndt_tests: int = MIN_NDT_TESTS,
     report: SanitizationReport | None = None,
-) -> tuple[list[UserRecord], SanitizationReport]:
+) -> tuple[UserColumns, SanitizationReport]:
     """Apply the paper's record-level cleaning rules to a dataset.
 
     Rules, in order, each accounted under its own name in the report:
@@ -376,127 +385,57 @@ def sanitize_users(
       than ``min_ndt_tests`` surviving tests are excluded;
     * ``invalid_values`` — periods carrying non-finite or negative
       summary statistics are excluded (third-party data hardening);
-    * ``short_observation`` — hosts with less than
-      ``min_observed_days`` of total usable collection are excluded,
-      as the paper filters to hosts with enough observed days.
+    * ``short_observation`` — hosts with no period left, or with less
+      than ``min_observed_days`` of total usable collection, are
+      excluded, as the paper filters to hosts with enough observed days.
+
+    Each period rule examines the rows the rules before it kept; the
+    host rule reduces the kept rows per user. Kept rows stay in input
+    order. Every rule is per-user, so cleaning blocks of users
+    separately and merging the reports equals one pass over all of them.
     """
     if report is None:
         report = SanitizationReport()
-    kept_users: list[UserRecord] = []
-    report.users_in += len(users)
-    for user in users:
-        candidate = _sanitize_one(
-            user,
-            dasu_interval_s=dasu_interval_s,
-            min_observed_days=min_observed_days,
-            min_ndt_tests=min_ndt_tests,
-            report=report,
-        )
-        if candidate is not None:
-            kept_users.append(candidate)
-    report.users_kept += len(kept_users)
-    return kept_users, report
+    n_users = columns.n_users
+    report.users_in += n_users
+    if not n_users:
+        return columns, report
+    rows = columns.rows
+    starts, counts = columns.user_starts, columns.user_counts
+    owner = np.repeat(np.arange(n_users), counts)
 
+    duplicate = _duplicate_periods(rows, owner)
+    ndt_failed = ~duplicate & (rows["n_ndt_tests"] < min_ndt_tests)
+    checked = ~duplicate & ~ndt_failed
+    invalid = checked & ~_valid_periods(rows)
+    kept_rows = checked & ~invalid
 
-def _sanitize_one(
-    user: UserRecord,
-    *,
-    dasu_interval_s: float,
-    min_observed_days: float,
-    min_ndt_tests: int,
-    report: SanitizationReport,
-) -> UserRecord | None:
-    """Record-level rules for a single user; the accounting unit shared
-    by the object-list and streaming columnar paths (every rule is
-    strictly per-user, so the totals are identical for any batching)."""
-    report.periods_in += len(user.observations)
-    seen: set = set()
-    kept = []
-    for obs in user.observations:
-        p = obs.period
-        key = (p.network, p.start_day, p.end_day)
-        rule = report.rule("duplicate_period")
-        rule.examined += 1
-        if key in seen:
-            rule.dropped += 1
-            continue
-        seen.add(key)
-        rule = report.rule("ndt_failure")
-        rule.examined += 1
-        if obs.n_ndt_tests < min_ndt_tests:
-            rule.dropped += 1
-            continue
-        rule = report.rule("invalid_values")
-        rule.examined += 1
-        if not _period_is_valid(obs):
-            rule.dropped += 1
-            continue
-        kept.append(obs)
-    rule = report.rule("short_observation")
-    rule.examined += 1
-    if not kept:
-        rule.dropped += 1
-        return None
-    candidate = (
-        user
-        if len(kept) == len(user.observations)
-        else dataclasses.replace(user, observations=tuple(kept))
+    per_sample_s = np.where(
+        columns.source_mask("dasu"), dasu_interval_s, _GATEWAY_INTERVAL_S
     )
-    if _observed_days(candidate, dasu_interval_s) < min_observed_days:
-        rule.dropped += 1
-        return None
-    report.periods_kept += len(kept)
-    return candidate
+    samples = np.add.reduceat(np.where(kept_rows, rows["n_usage_samples"], 0), starts)
+    observed_days = samples * per_sample_s / _SECONDS_PER_DAY
+    kept_users = np.add.reduceat(kept_rows.astype(np.int64), starts) > 0
+    kept_users &= ~(observed_days < min_observed_days)
+    keep = kept_rows & np.repeat(kept_users, counts)
+
+    report.periods_in += int(rows.size)
+    _account(report, "duplicate_period", rows.size, duplicate)
+    _account(report, "ndt_failure", rows.size - int(duplicate.sum()), ndt_failed)
+    if checked.any():  # a rule no period reached stays out of the report
+        _account(report, "invalid_values", int(checked.sum()), invalid)
+    _account(report, "short_observation", n_users, ~kept_users)
+    report.periods_kept += int(keep.sum())
+    report.users_kept += int(kept_users.sum())
+    return UserColumns(rows[keep]), report
 
 
-#: Users re-columnized per batch while streaming the record-level rules.
-_SANITIZE_BATCH_USERS = 1024
-
-
-def sanitize_columns(
-    columns,
-    *,
-    dasu_interval_s: float = 30.0,
-    min_observed_days: float = MIN_OBSERVED_DAYS,
-    min_ndt_tests: int = MIN_NDT_TESTS,
-    report: SanitizationReport | None = None,
-):
-    """Record-level cleaning over a columnar dataset.
-
-    Streams one user at a time through the same per-user rules as
-    :func:`sanitize_users` (value-identical kept set, counter-identical
-    report) while holding at most ``_SANITIZE_BATCH_USERS`` survivors
-    plus one :meth:`~repro.datasets.columns.UserColumns.iter_records`
-    batch in memory; survivors are re-columnized batch by batch in input
-    order.
-    """
-    from .columns import UserColumns, records_to_rows
-
-    if report is None:
-        report = SanitizationReport()
-    report.users_in += columns.n_users
-    parts: list[np.ndarray] = []
-    batch: list[UserRecord] = []
-    n_kept = 0
-    for user in columns.iter_records():
-        candidate = _sanitize_one(
-            user,
-            dasu_interval_s=dasu_interval_s,
-            min_observed_days=min_observed_days,
-            min_ndt_tests=min_ndt_tests,
-            report=report,
-        )
-        if candidate is None:
-            continue
-        n_kept += 1
-        batch.append(candidate)
-        if len(batch) >= _SANITIZE_BATCH_USERS:
-            parts.append(records_to_rows(batch))
-            batch = []
-    if batch:
-        parts.append(records_to_rows(batch))
-    report.users_kept += n_kept
-    return UserColumns.concat(parts), report
+def _account(
+    report: SanitizationReport, name: str, examined: int, dropped: np.ndarray
+) -> None:
+    rule = report.rule(name)
+    rule.examined += int(examined)
+    rule.dropped += int(dropped.sum())
 
 
 def ingest_users(
@@ -505,25 +444,25 @@ def ingest_users(
     dasu_interval_s: float = 30.0,
     min_observed_days: float = MIN_OBSERVED_DAYS,
     min_ndt_tests: int = MIN_NDT_TESTS,
-) -> tuple[list[UserRecord], SanitizationReport]:
+) -> tuple[UserColumns, SanitizationReport]:
     """Hardened dataset ingest: lenient CSV read plus record sanitization.
 
     Unlike :func:`repro.datasets.io.read_users_csv` (which raises on the
     first malformed row), rows or users that fail to parse or validate
     are dropped and accounted under the ``malformed_row`` rule, then the
-    surviving records go through :func:`sanitize_users`. This is the
+    surviving users go through :func:`sanitize_columns`. This is the
     entry point for third-party datasets of unknown hygiene.
     """
     from .io import read_users_csv
 
     report = SanitizationReport()
     errors: list[str] = []
-    users = read_users_csv(path, errors=errors)
+    columns = read_users_csv(path, errors=errors)
     rule = report.rule("malformed_row")
-    rule.examined += len(users) + len(errors)
+    rule.examined += columns.n_users + len(errors)
     rule.dropped += len(errors)
-    return sanitize_users(
-        users,
+    return sanitize_columns(
+        columns,
         dasu_interval_s=dasu_interval_s,
         min_observed_days=min_observed_days,
         min_ndt_tests=min_ndt_tests,

@@ -20,7 +20,6 @@ from ..faults.config import FaultConfig
 from ..market.countries import CountryProfile
 from ..market.survey import PlanSurvey
 from ..obs.ledger import RunLedger
-from .records import UserRecord
 from .sanitize import SanitizationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -87,57 +86,23 @@ class WorldConfig:
 
 
 class _ColumnarDataset:
-    """A dataset held either as records or as columns, deriving the
-    other representation lazily.
-
-    The builder and cache hand over :class:`~repro.datasets.columns.
-    UserColumns`; hand-assembled worlds (tests, synthetic fixtures) may
-    pass record tuples instead. ``columns`` is what every analysis
-    reads; ``users`` materializes records only for callers that want
-    per-household objects (the builder's checks, tests). Records read
-    from the columns remember them, so converting ``users`` back to
-    columns returns ``columns`` itself.
+    """One dataset of a world: its :class:`~repro.datasets.columns.
+    UserColumns` row block, which is what every analysis reads.
 
     Two datasets are equal when their ``columns.rows`` are equal byte
     for byte. That is NaN-safe (an hourly profile holds NaN for
     uncovered hours, and NaN != NaN would make a dataset unequal to
-    itself) and needs no records.
+    itself).
     """
 
-    __slots__ = ("_users", "_columns")
+    __slots__ = ("columns",)
 
-    def __init__(
-        self,
-        users: tuple[UserRecord, ...] | None = None,
-        *,
-        columns: "UserColumns | None" = None,
-    ) -> None:
-        if (users is None) == (columns is None):
-            raise DatasetError(
-                "pass exactly one of users= or columns= to a dataset"
-            )
-        self._users = tuple(users) if users is not None else None
-        self._columns = columns
-
-    @property
-    def users(self) -> tuple[UserRecord, ...]:
-        if self._users is None:
-            self._users = self._columns.to_records()
-        return self._users
-
-    @property
-    def columns(self) -> "UserColumns":
-        if self._columns is None:
-            from .columns import UserColumns
-
-            self._columns = UserColumns.from_records(self._users)
-        return self._columns
+    def __init__(self, columns: "UserColumns") -> None:
+        self.columns = columns
 
     @property
     def n_users(self) -> int:
-        if self._columns is not None:
-            return self._columns.n_users
-        return len(self._users)
+        return self.columns.n_users
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _ColumnarDataset):
@@ -193,13 +158,9 @@ class World:
     ledger: RunLedger | None = field(default=None, repr=False, compare=False)
 
     @property
-    def all_users(self) -> tuple[UserRecord, ...]:
-        return self.dasu.users + self.fcc.users
-
-    @property
     def all_columns(self) -> "UserColumns":
-        """Both datasets as one columnar block, dasu rows first —
-        mirroring :attr:`all_users` and the ``users.csv`` row order."""
+        """Both datasets as one columnar block, dasu rows first — the
+        ``users.csv`` row order."""
         from .columns import UserColumns
 
         return UserColumns.concat([self.dasu.columns, self.fcc.columns])

@@ -21,7 +21,7 @@ from repro.core.binning import BinSpec, capacity_class_spec
 from repro.core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
 from repro.core.matching import LOSS_MATCH_FLOOR, MatchingSummary, match_pairs
 from repro.core.stats import mean_confidence_interval
-from repro.datasets.records import UserRecord
+from tests.analysis.record_model import UserRecord
 
 
 def demand_outcome(metric: str, include_bt: bool) -> Callable[[UserRecord], float]:

@@ -8,6 +8,7 @@ from repro.analysis.diurnal import DiurnalProfile, population_diurnal_profile
 from repro.behavior.demand import cap_awareness_multiplier
 from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError, DatasetError
+from tests.analysis.record_model import to_records
 
 
 class TestCapAwareness:
@@ -57,7 +58,7 @@ class TestCapsExperiment:
         # Caps only bind for households with real demand.
         heavy = [
             u
-            for u in small_world.dasu.users
+            for u in to_records(small_world.dasu.columns)
             if truth[u.user_id].need_mbps > 2.0
         ]
         capped = [
@@ -110,7 +111,7 @@ class TestDiurnalProfile:
 
 class TestHourlyProfileStorage:
     def test_profiles_present_on_records(self, small_world):
-        users = small_world.dasu.users
+        users = to_records(small_world.dasu.columns)
         with_profiles = [
             u
             for u in users
@@ -121,10 +122,10 @@ class TestHourlyProfileStorage:
     def test_profiles_survive_csv(self, small_world, tmp_path):
         from repro.datasets.io import read_users_csv, write_users_csv
 
-        subset = small_world.dasu.users[:100]
+        subset = small_world.dasu.columns.take(np.arange(100))
         write_users_csv(subset, tmp_path / "users.csv")
-        loaded = read_users_csv(tmp_path / "users.csv")
-        original = sorted(subset, key=lambda u: u.user_id)
+        loaded = to_records(read_users_csv(tmp_path / "users.csv"))
+        original = sorted(to_records(subset), key=lambda u: u.user_id)
         for a, b in zip(loaded, original):
             pa = a.current.hourly_mean_mbps
             pb = b.current.hourly_mean_mbps

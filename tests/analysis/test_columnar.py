@@ -20,9 +20,9 @@ from repro.analysis.common import (
     matched_experiment,
 )
 from repro.core.binning import capacity_class_spec, explicit_bins
-from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
 from tests.analysis import record_oracle as oracle
+from tests.analysis.record_model import from_records, to_records
 
 CONFOUNDERS_ALWAYS = ("capacity", "latency", "loss")
 CONFOUNDERS_MARKET = (
@@ -33,14 +33,14 @@ CONFOUNDERS_MARKET = (
 @pytest.fixture(scope="module")
 def pools(small_world):
     """One record/columnar pool pair split on a real covariate."""
-    users = small_world.dasu.users
+    users = to_records(small_world.dasu.columns)
     control = [u for u in users if not u.bt_user]
     treatment = [u for u in users if u.bt_user]
     return (
         control,
         treatment,
-        UserColumns.from_records(control),
-        UserColumns.from_records(treatment),
+        from_records(control),
+        from_records(treatment),
     )
 
 
@@ -93,14 +93,16 @@ class TestBinnedDemandCurve:
     )
     @pytest.mark.parametrize("metric", ["peak", "mean"])
     def test_identical_points(self, small_world, spec, metric):
-        users = small_world.dasu.users
+        users = to_records(small_world.dasu.columns)
         columns = small_world.dasu.columns
         from_records = oracle.binned_demand_curve(users, metric=metric, spec=spec)
         from_columns = binned_demand_curve(columns, metric=metric, spec=spec)
         assert from_records.points == from_columns.points
 
     def test_min_users_threshold_agrees(self, small_world):
-        a = oracle.binned_demand_curve(small_world.dasu.users, min_users=40)
+        a = oracle.binned_demand_curve(
+            to_records(small_world.dasu.columns), min_users=40
+        )
         b = binned_demand_curve(small_world.dasu.columns, min_users=40)
         assert a.points == b.points
 
@@ -178,14 +180,14 @@ class TestMatchedExperiments:
 @pytest.fixture(scope="module")
 def faulted_pools(faulted_world_default):
     """Record/columnar pool pair from the faulted + sanitized world."""
-    users = faulted_world_default.dasu.users
+    users = to_records(faulted_world_default.dasu.columns)
     control = [u for u in users if not u.bt_user]
     treatment = [u for u in users if u.bt_user]
     return (
         control,
         treatment,
-        UserColumns.from_records(control),
-        UserColumns.from_records(treatment),
+        from_records(control),
+        from_records(treatment),
     )
 
 
@@ -259,7 +261,7 @@ class TestFaultedWorldEquivalence:
 
     def test_binned_demand_curve_identical(self, faulted_world_default):
         a = oracle.binned_demand_curve(
-            faulted_world_default.dasu.users, metric="peak"
+            to_records(faulted_world_default.dasu.columns), metric="peak"
         )
         b = binned_demand_curve(faulted_world_default.dasu.columns, metric="peak")
         assert a.points == b.points

@@ -15,14 +15,14 @@ from repro.analysis.common import (
     matched_experiment,
 )
 from repro.core.matching import match_pairs_arrays
-from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError, MatchingError
 from repro.obs.ledger import scoped
+from tests.analysis.record_model import from_records
 from tests.datasets.test_records import make_observation, make_record
 
 
 def columns(records):
-    return UserColumns.from_records(list(records))
+    return from_records(list(records))
 
 
 def _with_peak(peak_no_bt_mbps: float):

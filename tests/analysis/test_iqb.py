@@ -37,8 +37,13 @@ from repro.analysis.iqb import (
 )
 from repro.core.upgrades import NetworkId, ServicePeriod
 from repro.datasets import UserColumns
-from repro.datasets.records import PeriodObservation, UserRecord
 from repro.exceptions import AnalysisError
+from tests.analysis.record_model import (
+    PeriodObservation,
+    UserRecord,
+    from_records,
+    to_records,
+)
 from tests.analysis.record_oracle import score_record
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
@@ -299,7 +304,7 @@ class TestScoringProperties:
             == base.use_case_scores["browsing"]
         )
         assert padded.ready == base.ready
-        columns = UserColumns.from_records([record])
+        columns = from_records([record])
         vec_base = score_columns(columns, base_config)
         vec_padded = score_columns(columns, padded_config)
         assert vec_padded.composite[0] == vec_base.composite[0]
@@ -316,7 +321,7 @@ class TestScoringProperties:
             make_record(*values, user_id=f"u{i}")
             for i, values in enumerate(batch)
         ]
-        vectorized = score_columns(UserColumns.from_records(records), config)
+        vectorized = score_columns(from_records(records), config)
         for i, record in enumerate(records):
             scalar = score_record(record, config)
             assert vectorized.composite[i] == scalar.composite
@@ -338,9 +343,7 @@ class TestScoringProperties:
             result = score_record(make_record(latency=latency), config)
             assert result.composite == 0.0
             assert not result.ready
-            columns = UserColumns.from_records(
-                [make_record(latency=latency)]
-            )
+            columns = from_records([make_record(latency=latency)])
             assert score_columns(columns, config).composite[0] == 0.0
 
 
@@ -514,10 +517,10 @@ class TestConfigValidation:
 
 class TestMarketBarometer:
     def test_records_and_columns_agree_exactly(self, small_world):
-        records = list(small_world.dasu.users)
+        records = list(to_records(small_world.dasu.columns))
         from_columns = market_barometer(small_world.dasu.columns)
-        from_records = market_barometer(UserColumns.from_records(records))
-        assert from_records == from_columns
+        via_records = market_barometer(from_records(records))
+        assert via_records == from_columns
         # Each market's ready count is the scalar reference's.
         ready = {}
         for record in records:
@@ -551,7 +554,7 @@ class TestIqbExperiment:
     def test_too_few_households_rejected(self):
         records = [make_record(user_id=f"u{i}") for i in range(10)]
         with pytest.raises(AnalysisError, match="at least 30"):
-            iqb_experiment(UserColumns.from_records(records))
+            iqb_experiment(from_records(records))
 
     def test_runs_on_a_real_world(self, dasu_users):
         result = iqb_experiment(
@@ -570,7 +573,7 @@ class TestIqbExperiment:
             make_record(user_id=f"u{i}", country="Chile") for i in range(40)
         ]
         with pytest.raises(AnalysisError, match="distinct"):
-            iqb_experiment(UserColumns.from_records(records))
+            iqb_experiment(from_records(records))
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +609,8 @@ def test_iqb_report_matches_golden(iqb_world, request):
 def test_payload_is_deterministic_json(iqb_world):
     a = iqb_payload(iqb_world.dasu.columns, iqb_world.fcc.columns)
     b = iqb_payload(
-        UserColumns.from_records(list(iqb_world.dasu.users)),
-        UserColumns.from_records(list(iqb_world.fcc.users)),
+        from_records(list(to_records(iqb_world.dasu.columns))),
+        from_records(list(to_records(iqb_world.fcc.columns))),
     )
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a) == {"config", "dasu", "fcc", "markets", "experiment"}

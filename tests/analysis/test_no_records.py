@@ -1,8 +1,9 @@
-"""The analysis path reads columns and never materializes a record.
+"""The analysis path reads columns and never decodes rows to objects.
 
-Every record a :class:`~repro.datasets.columns.UserColumns` hands out is
-built by ``repro.datasets.columns._record_from_rows``. With that patched
-to raise, everything that renders or scores a cache-loaded world must
+The library keeps no record model; the one place that turns rows into
+per-row Python values is the CSV writer's decoder,
+``repro.datasets.columns._record_from_rows``. With that patched to
+raise, everything that renders or scores a cache-loaded world must
 still run: the report DAG (in-process and pooled), every ``analyze``
 entry, a sweep cell, the IQB barometer, ``--data`` loading and one
 refresh of the report service.
@@ -30,8 +31,8 @@ from repro.sweep.runners import SWEEP_EXPERIMENTS
 CONFIG = WorldConfig(seed=23, n_dasu_users=700, n_fcc_users=120, days_per_year=1.0)
 
 
-def _no_records(block, counts):
-    raise AssertionError("the analysis path materialized UserRecords")
+def _no_records(block):
+    raise AssertionError("the analysis path decoded rows to Python values")
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def cache_root(tmp_path_factory):
 
 @pytest.fixture()
 def world(cache_root, monkeypatch):
-    """The cache-loaded world, with record materialization forbidden."""
+    """The cache-loaded world, with row decoding forbidden."""
     loaded = WorldCache(cache_root).load(CONFIG)
     assert loaded is not None
     monkeypatch.setattr(

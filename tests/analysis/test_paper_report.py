@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.paper_report import full_report, section_reports
 from repro.datasets import UserColumns, WorldConfig, build_world
 from repro.exceptions import AnalysisError
+from tests.analysis.record_model import from_records
 
 
 class TestFullReport:
@@ -48,7 +49,7 @@ class TestFullReport:
 
     def test_empty_dataset_rejected(self):
         # An empty panel is an empty dataset, not a truthy object.
-        for empty in (UserColumns.empty(), UserColumns.from_records([])):
+        for empty in (UserColumns.empty(), from_records([])):
             with pytest.raises(AnalysisError, match="needs at least the Dasu"):
                 full_report(empty)
             with pytest.raises(AnalysisError, match="needs at least the Dasu"):

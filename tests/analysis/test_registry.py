@@ -165,9 +165,10 @@ class TestCheckExperiments:
 def test_loading_a_dataset_dir_through_the_dag_imports_no_cli(tmp_path):
     """The ``load-data`` kind reads through :mod:`repro.datasets.io`,
     so a DAG run never pulls in the command-line module."""
+    from repro.datasets import UserColumns
     from repro.datasets.io import write_users_csv
 
-    write_users_csv([], tmp_path / "users.csv")
+    write_users_csv(UserColumns.empty(), tmp_path / "users.csv")
     script = (
         "import sys\n"
         "from repro.dag import DagSpec, InProcessBackend, RunContext, "

@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.segments import SEGMENTS, classify_users, segment_users
 from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
+from tests.analysis.record_model import to_records
 
 
 class TestClassifyUser:
@@ -76,7 +77,7 @@ class TestSegmentUsers:
         # knows its own.
         for profile in result.profiles:
             members = [
-                user for user in small_world.dasu.users
+                user for user in to_records(small_world.dasu.columns)
                 if result.assignments[user.user_id] == profile.segment
             ]
             switched = sum(user.switched_service for user in members)

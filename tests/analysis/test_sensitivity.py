@@ -29,7 +29,7 @@ class TestSweepPoint:
 class TestSeedSweep:
     def test_statistic_per_seed(self):
         result = seed_sweep(
-            TINY, seeds=(1, 2, 3), statistic=lambda w: float(len(w.dasu.users))
+            TINY, seeds=(1, 2, 3), statistic=lambda w: float(w.dasu.n_users)
         )
         assert len(result.points) == 3
         assert all(p.value > 100 for p in result.points)

@@ -6,24 +6,25 @@ import pytest
 from repro.analysis.upload import seeding_experiment, upload_asymmetry
 from repro.datasets import UserColumns
 from repro.exceptions import AnalysisError
+from tests.analysis.record_model import to_records
 
 
 class TestUploadMeasurements:
     def test_most_users_carry_uploads(self, small_world):
-        users = small_world.dasu.users
+        users = to_records(small_world.dasu.columns)
         with_up = [u for u in users if u.mean_up_mbps is not None]
         assert len(with_up) > len(users) * 0.9
 
     def test_uploads_below_downloads_generally(self, small_world):
         ratios = [
             u.mean_up_mbps / u.mean_mbps
-            for u in small_world.dasu.users
+            for u in to_records(small_world.dasu.columns)
             if u.mean_up_mbps is not None and u.mean_mbps > 0
         ]
         assert np.median(ratios) < 0.5
 
     def test_upload_peak_bounded_by_upstream_provisioning(self, small_world):
-        for user in small_world.dasu.users[:300]:
+        for user in to_records(small_world.dasu.columns)[:300]:
             if user.peak_up_mbps is not None:
                 # Uplinks are provisioned far below downlinks.
                 assert user.peak_up_mbps <= user.capacity_down_mbps

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.qed import QuasiExperiment, stratum_key
 from repro.exceptions import ExperimentError
+from tests.analysis.record_model import to_records
 
 
 def by_v(u):
@@ -120,7 +121,7 @@ class TestQuasiExperiment:
 
     def test_agrees_with_natural_experiment_on_real_data(self, small_world):
         """QED and caliper matching find the same capacity effect."""
-        users = small_world.dasu.users
+        users = to_records(small_world.dasu.columns)
         low = [u for u in users if 0.8 < u.capacity_down_mbps <= 3.2]
         high = [u for u in users if 3.2 < u.capacity_down_mbps <= 12.8]
         qed = QuasiExperiment(

@@ -65,7 +65,7 @@ def _spawn_append(cache_root: Path, n_dasu: int, n_fcc: int):
 def _assert_whole(world, config) -> None:
     """A loaded world is complete enough to analyze: unique users, and
     at least the base population (a torn splice would lose users)."""
-    dasu_ids = [u.user_id for u in world.dasu.users]
+    dasu_ids = list(world.dasu.columns.user_ids)
     assert len(set(dasu_ids)) == len(dasu_ids)
     assert world.config == config
 

@@ -105,7 +105,7 @@ def test_interrupted_store_then_clean_rebuild(tmp_path, kill_point):
     assert not from_cache  # the partial store read as a miss
     reloaded = WorldCache(cache_root).load(CONFIG)
     assert reloaded is not None
-    assert len(reloaded.dasu.users) == len(world.dasu.users)
+    assert reloaded.dasu.n_users == world.dasu.n_users
 
 
 def test_stale_staging_swept_fresh_left_alone(tmp_path):

@@ -1,12 +1,14 @@
 """Equivalence suite for the columnar data plane.
 
-The columnar representation (``repro.datasets.columns``) is only
-admissible because it is *exactly* equivalent to the object path: every
-record round-trips value-identically (including the ``None``-ness of
+The row block (``repro.datasets.columns``) is held to the record model
+kept in ``tests/analysis/record_model.py``: every record flattens to
+rows and decodes back value-identically (including the ``None``-ness of
 optional fields and NaNs inside hourly profiles), every vectorized
-accessor agrees element-wise with its scalar twin, and the builder's
-byte-identical ``--jobs`` guarantee extends to the ``users.npy`` shard.
-This module locks each of those claims, mostly property-based.
+accessor agrees element-wise with its scalar twin, the columnar CSV
+writer and the mask-based sanitizer match the record writer and
+sanitizer, and the builder's byte-identical ``--jobs`` guarantee extends
+to the ``users.npy`` shard. This module locks each of those claims,
+mostly property-based.
 """
 
 from __future__ import annotations
@@ -31,14 +33,26 @@ from repro.datasets import (
     UserColumns,
     build_world,
     records_to_rows,
-    rows_to_records,
     sanitize_columns,
-    sanitize_users,
 )
 from repro.datasets.columns import OPTIONAL_FLAGS, PERIOD_FIELDS, USER_FIELDS
 from repro.datasets.io import read_users_npy, write_users_csv, write_users_npy
-from repro.datasets.records import PeriodObservation, UserRecord
 from repro.exceptions import DatasetError
+from tests.analysis import record_model
+from tests.analysis.record_model import (
+    PeriodObservation,
+    UserRecord,
+    from_records,
+    household_values,
+    rows_to_records,
+    sanitize_users,
+    to_records,
+)
+
+
+def to_rows(users) -> np.ndarray:
+    """Records through the library's flattener (the builder's path)."""
+    return records_to_rows(household_values(users))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +187,7 @@ class TestRoundTrip:
     @given(user_record_lists())
     @settings(max_examples=60, deadline=None)
     def test_records_rows_records_is_identity(self, users):
-        rows = records_to_rows(users)
+        rows = to_rows(users)
         assert rows.dtype == ROW_DTYPE
         assert rows.shape == (sum(len(u.observations) for u in users),)
         assert records_equal(rows_to_records(rows), users)
@@ -185,23 +199,23 @@ class TestRoundTrip:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_csv_bytes_identical_from_records_and_columns(self, tmp_path, users):
-        """Streaming the CSV from columns is byte-for-byte the object path."""
-        from_records = tmp_path / "records.csv"
-        from_columns = tmp_path / "columns.csv"
-        write_users_csv(users, from_records)
-        write_users_csv(UserColumns.from_records(users), from_columns)
-        assert from_records.read_bytes() == from_columns.read_bytes()
+        """The columnar CSV writer is byte-for-byte the record writer."""
+        via_records = tmp_path / "records.csv"
+        via_columns = tmp_path / "columns.csv"
+        record_model.write_users_csv(users, via_records)
+        write_users_csv(UserColumns(to_rows(users)), via_columns)
+        assert via_records.read_bytes() == via_columns.read_bytes()
 
     def test_tiny_world_round_trips(self, tiny_world):
-        users = tiny_world.all_users
-        assert records_equal(
-            rows_to_records(records_to_rows(users)), users
-        )
+        users = to_records(tiny_world.all_columns)
+        rows = to_rows(users)
+        assert rows.tobytes() == tiny_world.all_columns.rows.tobytes()
+        assert records_equal(rows_to_records(rows), users)
 
     def test_none_and_nan_hourly_stay_distinct(self):
         base = _one_user("u1", hourly=None)
         with_nan = _one_user("u2", hourly=(math.nan,) * 24)
-        rows = records_to_rows([base, with_nan])
+        rows = to_rows([base, with_nan])
         back = rows_to_records(rows)
         assert back[0].current.hourly_mean_mbps is None
         assert back[1].current.hourly_mean_mbps is not None
@@ -210,7 +224,7 @@ class TestRoundTrip:
     def test_oversized_string_raises_instead_of_truncating(self):
         user = _one_user("u" * 200)
         with pytest.raises(DatasetError, match="columnar width"):
-            records_to_rows([user])
+            to_rows([user])
 
 
 def _one_user(
@@ -281,9 +295,7 @@ class TestSchema:
             UserColumns(np.zeros(3, dtype=[("user_id", "S48")]))
 
     def test_non_contiguous_user_rows_rejected(self):
-        rows = records_to_rows(
-            [_one_user("a", n_obs=2), _one_user("b")]
-        )
+        rows = to_rows([_one_user("a", n_obs=2), _one_user("b")])
         shuffled = rows[[0, 2, 1]]
         with pytest.raises(DatasetError, match="contiguous"):
             UserColumns(shuffled).user_starts
@@ -296,8 +308,8 @@ class TestSchema:
 
 class TestAccessors:
     def test_accessors_match_object_path(self, tiny_world):
-        users = tiny_world.all_users
-        columns = UserColumns.from_records(users)
+        users = to_records(tiny_world.all_columns)
+        columns = from_records(users)
         assert columns.n_users == len(users)
         assert list(columns.user_ids) == [u.user_id for u in users]
         np.testing.assert_array_equal(
@@ -323,13 +335,13 @@ class TestAccessors:
     def test_optional_columns_read_nan_where_absent(self):
         users = [_one_user("a"), _one_user("b")]
         users[1] = dataclasses.replace(users[1], price_of_access_usd=None)
-        columns = UserColumns.from_records(users)
+        columns = from_records(users)
         prices = columns.price_of_access_usd
         assert prices[0] == 30.0
         assert math.isnan(prices[1])
 
     def test_unknown_demand_metric_raises(self):
-        columns = UserColumns.from_records([_one_user("a")])
+        columns = from_records([_one_user("a")])
         with pytest.raises(DatasetError, match="unknown demand metric"):
             columns.demand("median")
 
@@ -339,17 +351,17 @@ class TestAccessors:
             _one_user("b", source="fcc"),
             _one_user("c", source="dasu"),
         ]
-        columns = UserColumns.from_records(users)
+        columns = from_records(users)
         dasu = columns.select_users(columns.source_mask("dasu"))
         assert list(dasu.user_ids) == ["a", "c"]
         assert dasu.n_rows == 3  # "a" keeps both of its period rows
-        assert records_equal(dasu.to_records(), [users[0], users[2]])
+        assert records_equal(to_records(dasu), [users[0], users[2]])
         # One structured row per period, nothing else.
         assert dasu.nbytes == dasu.n_rows * ROW_DTYPE.itemsize
         # take() keeps the order it is given, rows whole.
         reordered = columns.take([2, 0])
         assert list(reordered.user_ids) == ["c", "a"]
-        assert records_equal(reordered.to_records(), [users[2], users[0]])
+        assert records_equal(to_records(reordered), [users[2], users[0]])
         assert columns.country_mask(users[0].country).all()
         assert not columns.country_mask("Atlantis").any()
 
@@ -368,20 +380,20 @@ class TestAccessors:
                     ),
                 ),
             )
-        columns = UserColumns.from_records(users)
+        columns = from_records(users)
         # A NaN peak clips to 1, exactly as min(1.0, nan) does.
         assert columns.peak_utilization.tolist() == [
             u.peak_utilization for u in users
         ] == [1.5 / 8.0, 1.0, 1.0]
 
     def test_select_rejects_wrong_mask_shape(self):
-        columns = UserColumns.from_records([_one_user("a")])
+        columns = from_records([_one_user("a")])
         with pytest.raises(DatasetError, match="user mask"):
             columns.select_users(np.ones(5, dtype=bool))
 
     def test_concat_preserves_order(self):
-        a = UserColumns.from_records([_one_user("a")])
-        b = UserColumns.from_records([_one_user("b")])
+        a = from_records([_one_user("a")])
+        b = from_records([_one_user("b")])
         merged = UserColumns.concat([b, UserColumns.empty(), a])
         assert list(merged.user_ids) == ["b", "a"]
 
@@ -442,7 +454,7 @@ class TestIndexOfArray:
 
 
 # ---------------------------------------------------------------------------
-# Streaming columnar sanitize == object sanitize.
+# Mask-based columnar sanitize == record sanitize.
 # ---------------------------------------------------------------------------
 
 
@@ -472,10 +484,8 @@ class TestSanitizeColumns:
     def test_counter_and_value_identical(self):
         users = self._dirty_users()
         kept_objects, object_report = sanitize_users(users)
-        kept_columns, column_report = sanitize_columns(
-            UserColumns.from_records(users)
-        )
-        assert records_equal(kept_columns.to_records(), kept_objects)
+        kept_columns, column_report = sanitize_columns(from_records(users))
+        assert records_equal(to_records(kept_columns), kept_objects)
         assert object_report.to_payload() == column_report.to_payload()
 
     def test_empty_input(self):
@@ -531,27 +541,32 @@ class TestFaultedWorldEquivalence:
         report = faulted_world_default.sanitization
         assert report is not None
         assert report.total_repaired + report.total_dropped > 0
-        users = faulted_world_default.all_users
+        users = to_records(faulted_world_default.all_columns)
         assert any(u.upgrade_cost_usd_per_mbps is None for u in users)
         assert any(u.current.hourly_mean_mbps is None for u in users)
 
     def test_records_round_trip_value_identical(self, faulted_world_default):
-        users = faulted_world_default.all_users
-        assert records_equal(rows_to_records(records_to_rows(users)), users)
+        users = to_records(faulted_world_default.all_columns)
+        rows = to_rows(users)
+        assert rows.tobytes() == faulted_world_default.all_columns.rows.tobytes()
+        assert records_equal(rows_to_records(rows), users)
 
     def test_all_columns_matches_object_path(self, faulted_world_default):
         world = faulted_world_default
-        assert records_equal(world.all_columns.to_records(), world.all_users)
+        assert records_equal(
+            to_records(world.all_columns),
+            to_records(world.dasu.columns) + to_records(world.fcc.columns),
+        )
 
     def test_csv_bytes_identical_from_records_and_columns(
         self, tmp_path, faulted_world_default
     ):
         world = faulted_world_default
-        from_records = tmp_path / "records.csv"
-        from_columns = tmp_path / "columns.csv"
-        write_users_csv(world.all_users, from_records)
-        write_users_csv(world.all_columns, from_columns)
-        assert from_records.read_bytes() == from_columns.read_bytes()
+        via_records = tmp_path / "records.csv"
+        via_columns = tmp_path / "columns.csv"
+        record_model.write_users_csv(to_records(world.all_columns), via_records)
+        write_users_csv(world.all_columns, via_columns)
+        assert via_records.read_bytes() == via_columns.read_bytes()
 
     def test_npy_round_trip_is_byte_stable(
         self, tmp_path, faulted_world_default
@@ -563,5 +578,5 @@ class TestFaultedWorldEquivalence:
         write_users_npy(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
         assert records_equal(
-            reloaded.to_records(), faulted_world_default.all_users
+            to_records(reloaded), to_records(faulted_world_default.all_columns)
         )

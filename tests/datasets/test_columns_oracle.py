@@ -1,35 +1,47 @@
-"""The batched conversion kernels against the per-row reference.
+"""The batched row kernels against the per-row record reference.
 
-``repro.datasets.columns`` converts between records and rows a whole
-column at a time; :mod:`tests.datasets.per_row_columns` keeps the
-original element-by-element conversion. Both must give byte-identical
-rows and records whose every field has the same type and the same bits
-(NaN included), on every input.
+``repro.datasets.columns`` flattens households into rows and decodes
+rows for the CSV writer a whole column at a time;
+:mod:`tests.analysis.record_model` keeps the original element-by-element
+conversion between records and rows, and the record CSV writer. The
+kernels must give byte-identical rows, decoded values whose every field
+has the same type and the same bits (NaN included), and byte-identical
+CSV text, on every input.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import pickle
 import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.upgrades import NetworkId, ServicePeriod
-from repro.datasets import UserColumns, records_to_rows, rows_to_records
-from repro.datasets import columns as columns_module
-from repro.datasets.columns import _STRING_WIDTHS
-from repro.datasets.records import PeriodObservation, UserRecord
-from repro.exceptions import DatasetError
-
-from .per_row_columns import (
-    reference_records_to_rows,
-    reference_rows_to_records,
+from repro.datasets import UserColumns, records_to_rows
+from repro.datasets import io as io_module
+from repro.datasets.columns import (
+    _STRING_WIDTHS,
+    PERIOD_FIELDS,
+    USER_FIELDS,
+    _record_from_rows,
 )
+from repro.exceptions import DatasetError
+from tests.analysis import record_model
+from tests.analysis.record_model import (
+    PeriodObservation,
+    UserRecord,
+    household_values,
+    to_records,
+)
+from tests.analysis.record_model import records_to_rows as reference_records_to_rows
+from tests.analysis.record_model import rows_to_records as reference_rows_to_records
 
 
 def identical(a, b) -> bool:
@@ -143,15 +155,49 @@ def _users(draw, max_users: int = 6):
     ]
 
 
+ROW_FIELDS = USER_FIELDS + PERIOD_FIELDS
+
+
+def _flatten(users) -> np.ndarray:
+    return records_to_rows(household_values(users))
+
+
+def _expected_columns(users) -> list[tuple]:
+    """The records' values per CSV column, hourly profiles as lists."""
+    rows = [
+        user + period
+        for user, periods in household_values(users)
+        for period in periods
+    ]
+    return list(zip(*rows)) if rows else [()] * len(ROW_FIELDS)
+
+
+def _csv_identical(users) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        via_records = Path(tmp) / "records.csv"
+        via_columns = Path(tmp) / "columns.csv"
+        record_model.write_users_csv(users, via_records)
+        io_module.write_users_csv(UserColumns(_flatten(users)), via_columns)
+        assert via_records.read_bytes() == via_columns.read_bytes()
+
+
 def _check_against_reference(users) -> None:
-    rows = records_to_rows(users)
+    rows = _flatten(users)
     assert rows.tobytes() == reference_records_to_rows(users).tobytes()
-    batched = rows_to_records(rows)
-    reference = reference_rows_to_records(rows)
-    assert len(batched) == len(reference) == len(users)
-    assert all(map(identical, batched, reference))
+    decoded = _record_from_rows(rows)
+    expected = _expected_columns(users)
+    assert len(decoded) == len(expected) == len(ROW_FIELDS)
+    for field, got, want in zip(ROW_FIELDS, decoded, expected):
+        if field == "hourly_mean_mbps":
+            got = [None if v is None else tuple(v) for v in got]
+        assert len(got) == len(want)
+        assert all(map(identical, got, want)), field
     # NaN-aware value identity with the input, through the reference.
-    assert reference_records_to_rows(batched).tobytes() == rows.tobytes()
+    assert (
+        reference_records_to_rows(reference_rows_to_records(rows)).tobytes()
+        == rows.tobytes()
+    )
+    _csv_identical(users)
 
 
 class TestBatchedKernelsMatchReference:
@@ -162,32 +208,31 @@ class TestBatchedKernelsMatchReference:
 
     @given(_users(max_users=9), st.integers(min_value=1, max_value=4))
     @settings(max_examples=40, deadline=None)
-    def test_identical_across_batch_boundaries(self, users, batch_users):
-        with mock.patch.object(
-            columns_module, "_RECORD_BATCH_USERS", batch_users
-        ):
-            _check_against_reference(users)
+    def test_identical_across_batch_boundaries(self, users, batch_rows):
+        with mock.patch.object(io_module, "_WRITE_BATCH_ROWS", batch_rows):
+            _csv_identical(users)
 
     def test_more_users_than_one_batch(self):
-        n = columns_module._RECORD_BATCH_USERS + 7
+        n = io_module._WRITE_BATCH_ROWS // 2 + 7
         users = [
             _user(f"u{i:04d}", n_obs=1 + i % 3, hourly=i % 2 == 0)
             for i in range(n)
         ]
+        assert sum(len(u.observations) for u in users) > io_module._WRITE_BATCH_ROWS
         _check_against_reference(users)
 
     def test_empty_input(self):
         rows = records_to_rows([])
         assert rows.shape == (0,)
         assert rows.tobytes() == reference_records_to_rows([]).tobytes()
-        assert rows_to_records(rows) == []
-        assert UserColumns(rows).to_records() == ()
+        assert _record_from_rows(rows) == [[]] * len(ROW_FIELDS)
+        assert to_records(UserColumns(rows)) == ()
 
     def test_zero_prices_stay_present(self):
         user = dataclasses.replace(
             _user("u1"), price_of_access_usd=0.0, upgrade_cost_usd_per_mbps=0.0
         )
-        (back,) = rows_to_records(records_to_rows([user]))
+        (back,) = reference_rows_to_records(_flatten([user]))
         assert back.price_of_access_usd == 0.0
         assert back.upgrade_cost_usd_per_mbps == 0.0
         assert back.plan_data_cap_gb is None
@@ -240,38 +285,9 @@ def _user(
     )
 
 
-class TestRecordsRememberTheirColumns:
-    def test_from_records_returns_the_columns_unconverted(self):
-        columns = UserColumns(records_to_rows([_user("a", n_obs=2), _user("b")]))
-        records = columns.to_records()
-        with mock.patch.object(
-            columns_module, "records_to_rows", side_effect=AssertionError
-        ):
-            assert UserColumns.from_records(records) is columns
-
-    def test_copies_and_slices_convert_again(self):
-        columns = UserColumns(records_to_rows([_user("a"), _user("b")]))
-        records = columns.to_records()
-        for derived in (list(records), tuple(records), records[:1], records + ()):
-            assert UserColumns.from_records(derived) is not columns
-        assert (
-            UserColumns.from_records(list(records)).rows.tobytes()
-            == columns.rows.tobytes()
-        )
-
-    def test_pickles_as_a_plain_tuple(self):
-        records = UserColumns(records_to_rows([_user("a", hourly=True)])).to_records()
-        blob = pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)
-        plain = pickle.dumps(tuple(records), protocol=pickle.HIGHEST_PROTOCOL)
-        back = pickle.loads(blob)
-        assert type(back) is tuple
-        assert all(map(identical, back, records))
-        assert len(blob) <= len(plain) + 64
-
-
 @pytest.mark.parametrize("field", ["country", "city"])
 def test_non_ascii_one_byte_over_the_width_raises(field):
     user = _user("u1", **{field: _at_width("é", field) + "x"})
-    for convert in (records_to_rows, reference_records_to_rows):
+    for convert in (_flatten, reference_records_to_rows):
         with pytest.raises(DatasetError, match="columnar width"):
             convert([user])

@@ -6,7 +6,7 @@ fixture (see ``tests/conftest.py``) instead of building their own world.
 
 import pytest
 
-from repro.datasets import UserColumns, WorldConfig
+from repro.datasets import WorldConfig
 from repro.datasets.io import (
     read_config_json,
     read_users_csv,
@@ -15,6 +15,7 @@ from repro.datasets.io import (
     write_users_csv,
 )
 from repro.exceptions import DatasetError
+from tests.analysis.record_model import to_records
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +26,10 @@ def world(tiny_world):
 class TestUsersCsv:
     def test_round_trip(self, world, tmp_path):
         path = tmp_path / "users.csv"
-        n_rows = write_users_csv(world.dasu.users, path)
-        assert n_rows >= len(world.dasu.users)
-        loaded = read_users_csv(path)
-        original = sorted(world.dasu.users, key=lambda u: u.user_id)
+        n_rows = write_users_csv(world.dasu.columns, path)
+        assert n_rows == world.dasu.columns.n_rows
+        loaded = to_records(read_users_csv(path))
+        original = sorted(to_records(world.dasu.columns), key=lambda u: u.user_id)
         assert len(loaded) == len(original)
         for a, b in zip(loaded, original):
             assert a.user_id == b.user_id
@@ -43,10 +44,10 @@ class TestUsersCsv:
         from repro.analysis.characterization import figure1
 
         path = tmp_path / "users.csv"
-        write_users_csv(world.dasu.users, path)
+        write_users_csv(world.dasu.columns, path)
         loaded = read_users_csv(path)
-        result = figure1(UserColumns.from_records(loaded))
-        assert result.n_users == len(loaded)
+        result = figure1(loaded)
+        assert result.n_users == loaded.n_users == world.dasu.n_users
 
     def test_bad_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -23,7 +23,7 @@ SMALL = dict(n_dasu_users=40, n_fcc_users=10, days_per_year=1.0)
 def _world_bytes(world, tmp_path, tag):
     users = tmp_path / f"{tag}-users.csv"
     survey = tmp_path / f"{tag}-survey.csv"
-    write_users_csv(world.all_users, users)
+    write_users_csv(world.all_columns, users)
     write_survey_csv(world.survey, survey)
     return users.read_bytes(), survey.read_bytes()
 
@@ -113,8 +113,8 @@ class TestBuildLedger:
         config = WorldConfig(seed=7, **SMALL)
         world = build_world(config, jobs=2)
         counters = world.ledger.counters
-        assert counters["build.users.dasu"] == len(world.dasu.users)
-        assert counters["build.users.fcc"] == len(world.fcc.users)
+        assert counters["build.users.dasu"] == world.dasu.n_users
+        assert counters["build.users.fcc"] == world.fcc.n_users
         assert counters["build.households.simulated"] >= (
             counters["build.users.dasu"] + counters["build.users.fcc"]
         )

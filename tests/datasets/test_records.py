@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.upgrades import NetworkId, ServicePeriod
-from repro.datasets.records import PeriodObservation, UserRecord, period_year
+from tests.analysis.record_model import PeriodObservation, UserRecord, period_year
 from repro.exceptions import DatasetError
 
 

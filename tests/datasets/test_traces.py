@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import WorldConfig, build_world
 from repro.datasets.traces import UsageTrace, read_traces_npz, write_traces_npz
 from repro.exceptions import DatasetError
+from tests.analysis.record_model import to_records
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ def traced_world():
 
 class TestTraceCollection:
     def test_roughly_requested_fraction_traced(self, traced_world):
-        fraction = len(traced_world.traces) / len(traced_world.all_users)
+        fraction = len(traced_world.traces) / traced_world.all_columns.n_users
         assert 0.3 <= fraction <= 0.7
 
     def test_default_world_has_no_traces(self):
@@ -33,11 +34,11 @@ class TestTraceCollection:
         assert not world.traces
 
     def test_traces_match_record_owners(self, traced_world):
-        user_ids = {u.user_id for u in traced_world.all_users}
+        user_ids = set(traced_world.all_columns.user_ids)
         assert set(traced_world.traces) <= user_ids
 
     def test_one_trace_per_observed_year(self, traced_world):
-        by_id = {u.user_id: u for u in traced_world.all_users}
+        by_id = {u.user_id: u for u in to_records(traced_world.all_columns)}
         for user_id, traces in traced_world.traces.items():
             record = by_id[user_id]
             assert len(traces) == len(record.observations)
@@ -48,7 +49,7 @@ class TestTraceCollection:
     def test_summaries_rederivable_from_traces(self, traced_world):
         """The audit property: every published summary equals the summary
         recomputed from its raw trace."""
-        by_id = {u.user_id: u for u in traced_world.all_users}
+        by_id = {u.user_id: u for u in to_records(traced_world.all_columns)}
         checked = 0
         for user_id, traces in traced_world.traces.items():
             record = by_id[user_id]
@@ -64,7 +65,7 @@ class TestTraceCollection:
         assert checked > 20
 
     def test_traces_carry_uplink_for_dasu(self, traced_world):
-        dasu_ids = {u.user_id for u in traced_world.dasu.users}
+        dasu_ids = set(traced_world.dasu.columns.user_ids)
         for user_id, traces in traced_world.traces.items():
             if user_id in dasu_ids:
                 assert traces[0].up_rates_mbps is not None

@@ -9,6 +9,7 @@ import pytest
 
 from repro.datasets import UserColumns, WorldCache
 from repro.datasets.world import DasuDataset, FccDataset
+from tests.analysis.record_model import from_records, to_records
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,9 @@ def test_two_loads_of_one_entry_compare_equal(two_loads):
 
 def test_records_and_columns_forms_compare_equal(two_loads):
     a, _ = two_loads
-    assert DasuDataset(users=a.dasu.users) == a.dasu
-    assert FccDataset(users=a.fcc.users) == a.fcc
+    # Through the record model and back, a dataset is the same rows.
+    assert DasuDataset(columns=from_records(to_records(a.dasu.columns))) == a.dasu
+    assert FccDataset(columns=from_records(to_records(a.fcc.columns))) == a.fcc
 
 
 def test_one_changed_float_makes_them_unequal(two_loads):

@@ -157,7 +157,7 @@ SMALL = dict(n_dasu_users=40, n_fcc_users=10, days_per_year=1.0)
 def _world_bytes(world, tmp_path, tag):
     users = tmp_path / f"{tag}-users.csv"
     survey = tmp_path / f"{tag}-survey.csv"
-    write_users_csv(world.all_users, users)
+    write_users_csv(world.all_columns, users)
     write_survey_csv(world.survey, survey)
     return users.read_bytes(), survey.read_bytes()
 

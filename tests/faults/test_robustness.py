@@ -24,6 +24,7 @@ import math
 import pytest
 
 from repro.analysis import capacity, price
+from tests.analysis.record_model import to_records
 
 #: Minimum matched pairs before a comparison's direction is meaningful.
 _MIN_PAIRS = 30
@@ -163,7 +164,7 @@ class TestHeavySeverityDegradesGracefully:
     def test_records_are_still_clean(self, faulted_world_heavy):
         # However dirty the substrate, sanitized records carry only
         # finite, usable statistics.
-        for user in faulted_world_heavy.all_users:
+        for user in to_records(faulted_world_heavy.all_columns):
             assert math.isfinite(user.peak_no_bt_mbps)
             assert user.peak_no_bt_mbps >= 0
             assert math.isfinite(user.capacity_down_mbps)

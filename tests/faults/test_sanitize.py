@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.upgrades import NetworkId, ServicePeriod
 from repro.datasets.io import write_users_csv
-from repro.datasets.records import PeriodObservation, UserRecord
 from repro.datasets.sanitize import (
     MIN_NDT_TESTS,
     RuleStats,
@@ -18,12 +17,19 @@ from repro.datasets.sanitize import (
     dedup_samples,
     ingest_users,
     repair_wraps,
+    sanitize_columns,
     sanitize_samples,
-    sanitize_users,
     strip_sentinels,
 )
 from repro.exceptions import DatasetError
 from repro.faults.injector import RESET_SENTINEL_MBPS, wrap_quantum_mbps
+from tests.analysis.record_model import (
+    PeriodObservation,
+    UserRecord,
+    from_records,
+    sanitize_users,
+    to_records,
+)
 
 INTERVAL_S = 30.0
 QUANTUM = wrap_quantum_mbps(INTERVAL_S)
@@ -223,10 +229,20 @@ class TestSanitizeSamples:
         assert report.samples_kept == 2
 
 
+def sanitize(users: list[UserRecord]):
+    """The record-level rules over columns, held to the record oracle:
+    the same kept rows and the same report."""
+    kept, report = sanitize_columns(from_records(users))
+    expected, expected_report = sanitize_users(users)
+    assert kept.rows.tobytes() == from_records(expected).rows.tobytes()
+    assert report.to_payload() == expected_report.to_payload()
+    return list(to_records(kept)), report
+
+
 class TestSanitizeUsers:
     def test_clean_user_survives_intact(self):
         user = make_user()
-        kept, report = sanitize_users([user])
+        kept, report = sanitize([user])
         assert kept == [user]
         assert report.users_kept == 1
         assert report.total_dropped == 0
@@ -234,7 +250,7 @@ class TestSanitizeUsers:
     def test_duplicate_period_collapsed(self):
         obs = make_obs()
         user = make_user(observations=(obs, obs))
-        kept, report = sanitize_users([user])
+        kept, report = sanitize([user])
         assert len(kept) == 1
         assert len(kept[0].observations) == 1
         assert report.rule("duplicate_period").dropped == 1
@@ -243,7 +259,7 @@ class TestSanitizeUsers:
         bad = make_obs(n_ndt_tests=MIN_NDT_TESTS - 1)
         good = make_obs(start_day=10.0, end_day=11.0)
         user = make_user(observations=(bad, good))
-        kept, report = sanitize_users([user])
+        kept, report = sanitize([user])
         assert len(kept[0].observations) == 1
         assert kept[0].observations[0].period.start_day == 10.0
         assert report.rule("ndt_failure").dropped == 1
@@ -251,7 +267,7 @@ class TestSanitizeUsers:
     def test_invalid_values_period_excluded(self):
         bad = make_obs(peak=math.nan, peak_no_bt=math.nan)
         user = make_user(observations=(bad,))
-        kept, report = sanitize_users([user])
+        kept, report = sanitize([user])
         assert kept == []
         assert report.rule("invalid_values").dropped == 1
         assert report.users_kept == 0
@@ -260,15 +276,15 @@ class TestSanitizeUsers:
         # 10 samples x 30 s is far below the minimum observed days.
         thin = make_obs(n_usage_samples=10)
         user = make_user(observations=(thin,))
-        kept, report = sanitize_users([user])
+        kept, report = sanitize([user])
         assert kept == []
         assert report.rule("short_observation").dropped == 1
 
     def test_gateway_observation_floor_uses_hourly_interval(self):
         # 10 hourly records = 10 h of wall clock, above the 0.05-day floor.
-        obs = make_obs(n_usage_samples=10)
+        obs = make_obs(user_id="f1", n_usage_samples=10)
         user = make_user(user_id="f1", observations=(obs,), source="fcc")
-        kept, _ = sanitize_users([user])
+        kept, _ = sanitize([user])
         assert kept == [user]
 
 
@@ -276,30 +292,30 @@ class TestIngestUsers:
     def test_clean_csv_round_trips(self, tmp_path):
         users = [make_user(user_id=f"u{i}") for i in range(3)]
         path = tmp_path / "users.csv"
-        write_users_csv(users, path)
+        write_users_csv(from_records(users), path)
         kept, report = ingest_users(path)
-        assert [u.user_id for u in kept] == [u.user_id for u in users]
+        assert list(kept.user_ids) == [u.user_id for u in users]
         assert report.rule("malformed_row").dropped == 0
 
     def test_malformed_rows_dropped_and_counted(self, tmp_path):
         users = [make_user(user_id=f"u{i}") for i in range(3)]
         path = tmp_path / "users.csv"
-        write_users_csv(users, path)
+        write_users_csv(from_records(users), path)
         lines = path.read_text().splitlines()
         # Truncate one data row mid-field: it can no longer parse.
         lines[1] = lines[1].split(",")[0]
         path.write_text("\n".join(lines) + "\n")
         kept, report = ingest_users(path)
         assert report.rule("malformed_row").dropped >= 1
-        assert len(kept) < len(users)
-        assert all(u.user_id.startswith("u") for u in kept)
+        assert kept.n_users < len(users)
+        assert all(user_id.startswith("u") for user_id in kept.user_ids)
 
     def test_strict_reader_still_raises(self, tmp_path):
         from repro.datasets.io import read_users_csv
 
         users = [make_user()]
         path = tmp_path / "users.csv"
-        write_users_csv(users, path)
+        write_users_csv(from_records(users), path)
         lines = path.read_text().splitlines()
         lines[1] = lines[1].split(",")[0]
         path.write_text("\n".join(lines) + "\n")

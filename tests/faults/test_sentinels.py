@@ -22,6 +22,7 @@ from repro.faults.injector import RESET_SENTINEL_MBPS
 from repro.measurement.netstat import deltas_from_netstat
 from repro.measurement.upnp import deltas_from_readings
 from repro.units import UINT32_WRAP
+from tests.analysis.record_model import to_records
 
 
 class TestClientsEmitSentinels:
@@ -83,7 +84,7 @@ class TestSentinelsNeverReachRecords:
         )
 
     def test_all_demand_statistics_non_negative(self, faulted_unsanitized_world):
-        users = faulted_unsanitized_world.all_users
+        users = to_records(faulted_unsanitized_world.all_columns)
         assert users
         for user in users:
             for obs in user.observations:

@@ -16,6 +16,8 @@ from repro.sweep import (
     sweep_worlds,
 )
 
+from tests.analysis.record_model import to_records
+
 from .conftest import SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, small_sweep_grid
 
 
@@ -153,11 +155,12 @@ class TestRunSweep:
 
 class TestSweepWorlds:
     @staticmethod
-    def _fingerprint(users):
+    def _fingerprint(dataset):
         # Cache-loaded worlds carry the same records as a fresh build
         # but in persisted order, and the hourly profile is %.6g-encoded
         # in the CSV (see tests/test_cache.py) — so compare the
         # analysis-relevant fields, order-insensitively.
+        users = to_records(dataset.columns)
         return sorted(
             (
                 u.user_id,
@@ -181,11 +184,11 @@ class TestSweepWorlds:
             direct = build_world(
                 dataclasses.replace(SMALL_SWEEP_BASE, seed=seed)
             )
-            assert self._fingerprint(world.dasu.users) == self._fingerprint(
-                direct.dasu.users
+            assert self._fingerprint(world.dasu) == self._fingerprint(
+                direct.dasu
             )
-            assert self._fingerprint(world.fcc.users) == self._fingerprint(
-                direct.fcc.users
+            assert self._fingerprint(world.fcc) == self._fingerprint(
+                direct.fcc
             )
 
     def test_cached_reload_is_identical(self, tmp_path):
@@ -196,8 +199,8 @@ class TestSweepWorlds:
             SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, cache_root=tmp_path
         )
         for a, b in zip(first, again):
-            assert self._fingerprint(a.dasu.users) == self._fingerprint(
-                b.dasu.users
+            assert self._fingerprint(a.dasu) == self._fingerprint(
+                b.dasu
             )
 
     def test_empty_seeds_rejected(self):

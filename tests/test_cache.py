@@ -13,6 +13,7 @@ from repro.datasets import cache as cache_module
 from repro.datasets.cache import WorldCache, build_or_load_world, cache_key
 from repro.datasets.io import write_users_csv
 from repro.faults import fault_profile
+from tests.analysis.record_model import to_records
 
 TINY = WorldConfig(seed=21, n_dasu_users=30, n_fcc_users=8, days_per_year=1.0)
 DIRTY = dataclasses.replace(
@@ -68,11 +69,9 @@ class TestWorldCache:
         assert entry is not None and entry.is_dir()
         cached = cache.load(TINY)
         assert cached is not None
-        assert [u.user_id for u in sorted(
-            cached.all_users, key=lambda u: u.user_id
-        )] == [u.user_id for u in sorted(
-            world.all_users, key=lambda u: u.user_id
-        )]
+        assert sorted(cached.all_columns.user_ids) == sorted(
+            world.all_columns.user_ids
+        )
         assert cached.survey.n_plans == world.survey.n_plans
         # Records only: ground truth is never persisted.
         assert cached.ground_truth == {}
@@ -84,8 +83,8 @@ class TestWorldCache:
         world = build_world(TINY)
         cache.store(world)
         cached = cache.load(TINY)
-        by_id = {u.user_id: u for u in cached.all_users}
-        for user in world.all_users:
+        by_id = {u.user_id: u for u in to_records(cached.all_columns)}
+        for user in to_records(world.all_columns):
             loaded = by_id[user.user_id]
             assert loaded.country == user.country
             assert loaded.capacity_down_mbps == user.capacity_down_mbps
@@ -187,7 +186,7 @@ class TestBuildOrLoad:
         assert not from_cache
         again, from_cache = build_or_load_world(TINY, cache=cache)
         assert from_cache
-        assert len(again.all_users) == len(world.all_users)
+        assert again.all_columns.n_users == world.all_columns.n_users
 
     def test_use_cache_false_always_builds(self, cache):
         build_or_load_world(TINY, cache=cache)
@@ -203,7 +202,7 @@ class TestBuildOrLoad:
         (entry / "users.npy").write_text("garbage")
         world, from_cache = build_or_load_world(TINY, cache=cache)
         assert not from_cache
-        assert world.all_users
+        assert world.all_columns.n_users
         # The rebuild repaired the entry.
         assert cache.load(TINY) is not None
 
@@ -409,8 +408,8 @@ class TestColumnarShard:
         rebuilt, from_cache = build_or_load_world(TINY, cache=cache)
         assert not from_cache
         assert cache.load(TINY) is not None
-        assert sorted(u.user_id for u in rebuilt.all_users) == sorted(
-            u.user_id for u in world.all_users
+        assert sorted(rebuilt.all_columns.user_ids) == sorted(
+            world.all_columns.user_ids
         )
 
     def test_stale_manifest_is_a_miss(self, cache):

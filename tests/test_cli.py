@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.analysis.paper_report import fragment_keys
@@ -13,7 +14,7 @@ from repro.datasets.io import write_config_json, write_survey_csv, write_users_c
 @pytest.fixture(scope="module")
 def data_dir(small_world, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-data")
-    write_users_csv(small_world.all_users, out / "users.csv")
+    write_users_csv(small_world.all_columns, out / "users.csv")
     write_survey_csv(small_world.survey, out / "survey.csv")
     write_config_json(small_world.config, out / "config.json")
     return out
@@ -154,7 +155,9 @@ class TestAnalyze:
         assert "error" in capsys.readouterr().err
 
     def test_survey_experiment_without_survey(self, small_world, tmp_path, capsys):
-        write_users_csv(small_world.dasu.users[:100], tmp_path / "users.csv")
+        write_users_csv(
+            small_world.dasu.columns.take(np.arange(100)), tmp_path / "users.csv"
+        )
         rc = main(
             ["analyze", "--data", str(tmp_path), "--experiment", "table5"]
         )

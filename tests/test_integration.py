@@ -11,8 +11,9 @@ from repro.analysis import (
     quality,
     upgrade_cost,
 )
-from repro.datasets import UserColumns, WorldConfig, build_world
+from repro.datasets import WorldConfig, build_world
 from repro.datasets.io import read_users_csv, write_users_csv
+from tests.analysis.record_model import to_records
 
 
 class TestEveryAnalysisRuns:
@@ -52,13 +53,13 @@ class TestAnalysisNeverTouchesGroundTruth:
         """Round-tripping through CSV (which cannot carry ground truth)
         reproduces the analysis results exactly — proof the pipeline uses
         measurements only."""
-        subset = small_world.dasu.users[:400]
+        subset = small_world.dasu.columns.take(np.arange(400))
         path = tmp_path / "users.csv"
         write_users_csv(subset, path)
         loaded = read_users_csv(path)
 
-        direct = capacity.table1(UserColumns.from_records(subset))
-        from_disk = capacity.table1(UserColumns.from_records(loaded))
+        direct = capacity.table1(subset)
+        from_disk = capacity.table1(loaded)
         assert direct.average.n_pairs == from_disk.average.n_pairs
         assert direct.average.n_holds == from_disk.average.n_holds
         assert direct.peak.p_value == pytest.approx(from_disk.peak.p_value)
@@ -84,19 +85,19 @@ class TestCrossDatasetConsistency:
     def test_user_capacities_consistent_with_market(self, small_world):
         """Measured capacities respect each country's plan ceilings
         (modulo technology limits and small measurement overshoot)."""
-        for user in small_world.dasu.users[:500]:
+        for user in to_records(small_world.dasu.columns)[:500]:
             market = small_world.survey.market(user.country)
             assert user.capacity_down_mbps <= market.max_capacity_mbps * 1.2
 
     def test_covariates_match_survey(self, small_world):
         prices = small_world.survey.price_of_access()
-        for user in small_world.dasu.users[:500]:
+        for user in to_records(small_world.dasu.columns)[:500]:
             assert user.price_of_access_usd == pytest.approx(
                 prices[user.country]
             )
 
     def test_switchers_upgrade_within_market(self, small_world):
-        for user in small_world.dasu.users:
+        for user in to_records(small_world.dasu.columns):
             if not user.switched_service:
                 continue
             market = small_world.survey.market(user.country)
@@ -117,7 +118,7 @@ class TestHeadlineFindings:
 
     def test_users_rarely_fully_utilize(self, small_world):
         utils = np.array(
-            [u.peak_utilization for u in small_world.dasu.users]
+            [u.peak_utilization for u in to_records(small_world.dasu.columns)]
         )
         # Sec. 3.1: average p95 utilization between 10 and 48%.
         assert 0.08 <= float(np.mean(utils)) <= 0.55
