@@ -100,8 +100,22 @@ APPLICATION_PROFILES: tuple[tuple[ApplicationProfile, float], ...] = (
 )
 
 
-def sample_profile(rng: np.random.Generator) -> ApplicationProfile:
-    """Draw a household archetype according to the population mix."""
+def _mix_cdf() -> np.ndarray:
+    """The archetype mix's CDF, computed as ``Generator.choice(p=)`` does."""
     shares = np.array([share for _, share in APPLICATION_PROFILES])
-    index = int(rng.choice(len(APPLICATION_PROFILES), p=shares / shares.sum()))
+    cdf = (shares / shares.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_MIX_CDF = _mix_cdf()
+
+
+def sample_profile(rng: np.random.Generator) -> ApplicationProfile:
+    """Draw a household archetype according to the population mix.
+
+    One uniform draw looked up in the mix's CDF: the draw and the index
+    ``rng.choice(len(APPLICATION_PROFILES), p=shares)`` would make.
+    """
+    index = int(_MIX_CDF.searchsorted(rng.random(), side="right"))
     return APPLICATION_PROFILES[index][0]

@@ -391,13 +391,42 @@ def spearman_r(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray)
 
 
 def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:
-    """The ``q``-th percentile (linear interpolation), ``q`` in [0, 100]."""
+    """The ``q``-th percentile (linear interpolation), ``q`` in [0, 100].
+
+    Bit-identical to ``np.percentile(values, q)``, NaN and signed zeros
+    included, at a fraction of its cost: the same partition (numpy's
+    ``kth`` set) and numpy's own ``linear`` rule. The virtual index is
+    ``(n - 1) * q``, and above the last element numpy's sentinel index
+    ``-1`` enters the interpolation weight. The blend is numpy's
+    ``_lerp``: ``a + d*g``, or ``b - d*(1 - g)`` when ``g >= 0.5``.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise AnalysisError("cannot take a percentile of nothing")
     if not 0.0 <= q <= 100.0:
         raise AnalysisError(f"percentile must be in [0, 100], got {q}")
-    return float(np.percentile(arr, q))
+    if type(q) not in (int, float):
+        # numpy promotes other scalar types (float32, ...) differently.
+        return float(np.percentile(arr, q))
+    last = arr.size - 1
+    index = last * (q / 100)
+    if index >= last:
+        lo = hi = -1
+    else:
+        lo = math.floor(index)
+        hi = lo + 1
+    ordered = np.partition(arr.ravel(), sorted({0, -1, lo, hi}))
+    top = float(ordered[-1])
+    if top != top:
+        # A NaN sorts last, and numpy then returns it as the result.
+        return top
+    a = float(ordered[lo])
+    b = float(ordered[hi])
+    gamma = index - lo
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def ecdf(values: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

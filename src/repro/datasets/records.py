@@ -7,6 +7,7 @@ row blocks (:mod:`repro.datasets.columns`).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -39,12 +40,19 @@ def hourly_profile(
         raise DatasetError("rates and hours must align")
     if rates.size == 0:
         return None
-    buckets = np.floor(hrs).astype(int) % 24
-    profile = np.full(24, np.nan)
-    for hour in range(24):
-        mask = buckets == hour
-        if int(mask.sum()) >= min_samples_per_hour:
-            profile[hour] = float(rates[mask].mean())
-    if int(np.sum(~np.isnan(profile))) < 12:
+    buckets = (np.floor(hrs).astype(int) % 24).astype(np.uint8)
+    # A stable sort keeps each hour's samples in their original order,
+    # so each contiguous slice sums exactly as ``rates[mask].mean()``
+    # would (``np.add.reduceat`` and weighted ``bincount`` sum in a
+    # different order and drift by an ulp).
+    ordered = rates[np.argsort(buckets, kind="stable")]
+    counts = np.bincount(buckets, minlength=24).tolist()
+    profile = [math.nan] * 24
+    end = 0
+    for hour, count in enumerate(counts):
+        start, end = end, end + count
+        if count >= min_samples_per_hour:
+            profile[hour] = float(np.add.reduce(ordered[start:end]) / count)
+    if sum(v == v for v in profile) < 12:
         return None
-    return tuple(float(v) for v in profile)
+    return tuple(profile)

@@ -198,11 +198,9 @@ class DasuClient:
         if up_rates is not None:
             up_rates = up_rates[valid]
 
-        hours = series.hours()
-        bt = series.bt_active
         return SampledUsage(
             rates_mbps=rates,
-            bt_active=bt[end_slots],
-            hours=hours[end_slots],
+            bt_active=series.bt_active[end_slots],
+            hours=series.hours_at(end_slots),
             up_rates_mbps=up_rates,
         )

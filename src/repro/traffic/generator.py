@@ -67,9 +67,15 @@ class UsageSeries:
 
     def hours(self) -> np.ndarray:
         """Local hour of day of each sample's midpoint."""
-        offsets_h = (
-            (np.arange(self.n_samples) + 0.5) * self.interval_s / SECONDS_PER_HOUR
-        )
+        return self.hours_at(np.arange(self.n_samples))
+
+    def hours_at(self, slots: np.ndarray) -> np.ndarray:
+        """Local hour of day of the midpoints of samples ``slots``.
+
+        Element for element what :meth:`hours` computes, for only the
+        samples a collector kept.
+        """
+        offsets_h = (slots + 0.5) * self.interval_s / SECONDS_PER_HOUR
         return (self.start_hour + offsets_h) % 24.0
 
     def without_bt(self) -> np.ndarray:
@@ -120,17 +126,25 @@ def generate_usage_series(
 
     midpoints = (np.arange(n) + 0.5) * interval_s
     typical_rate = demand.offered_peak_mbps * demand.rate_median_share
-    for t_start, t_end in intervals:
-        lo = int(np.searchsorted(midpoints, t_start, side="left"))
-        hi = int(np.searchsorted(midpoints, t_end, side="left"))
-        if hi <= lo:
-            continue
-        session_rate = typical_rate * float(
-            np.exp(rng.normal(0.0, demand.burstiness_sigma))
-        )
-        # Within a session the rate wobbles around the session's level.
-        wobble = np.exp(rng.normal(0.0, 0.25, hi - lo))
-        rates[lo:hi] = np.maximum(rates[lo:hi], session_rate * wobble)
+    los = np.searchsorted(midpoints, intervals[:, 0], side="left")
+    his = np.searchsorted(midpoints, intervals[:, 1], side="left")
+    live = his > los
+    los, his = los[live], his[live]
+    if los.size:
+        # Each live session draws its level's normal, then one normal per
+        # sample in which the rate wobbles around that level. One
+        # standard-normal batch in that order, scaled the way
+        # ``Generator.normal`` scales (``0.0 + sigma * z``), reads the
+        # generator exactly as per-session ``rng.normal`` calls would.
+        blocks = his - los + 1
+        heads = np.cumsum(blocks) - blocks
+        sigmas = np.full(int(blocks.sum()), 0.25)
+        sigmas[heads] = demand.burstiness_sigma
+        factors = np.exp(0.0 + sigmas * rng.standard_normal(sigmas.size))
+        for head, lo, hi in zip(heads.tolist(), los.tolist(), his.tolist()):
+            session_rate = typical_rate * float(factors[head])
+            wobble = factors[head + 1 : head + 1 + hi - lo]
+            rates[lo:hi] = np.maximum(rates[lo:hi], session_rate * wobble)
 
     # Uplink: requests/ACKs/uploads mirror the foreground downlink at the
     # household's upload share, with its own wobble.
