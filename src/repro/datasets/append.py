@@ -340,9 +340,7 @@ def _merge_columns(
     it with that country's new users keeps the order canonical for the
     extended world too.
     """
-    base_columns = base.all_columns
-    base_dasu = base_columns.select_users(base_columns.source_mask("dasu"))
-    base_fcc = base_columns.select_users(base_columns.source_mask("fcc"))
+    base_dasu, base_fcc = base.dasu.columns, base.fcc.columns
     dasu_parts: list[UserColumns] = []
     for profile in context.profiles:
         name = profile.name.encode("utf-8")

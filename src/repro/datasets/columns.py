@@ -24,7 +24,8 @@ Representation contract
 * **Grouped rows.** All rows of a user are contiguous and in
   observation order (ascending ``start_day``), mirroring both the
   builder's append order and the CSV layout. :class:`UserColumns`
-  validates this on first per-user access.
+  validates this on first per-user access; the selections it returns
+  inherit its per-user index instead of validating again.
 * **Batched conversion.** :func:`records_to_rows` fills each field
   with one assignment from a list of its values, and
   :func:`_record_from_rows` decodes a block of rows with one
@@ -232,6 +233,15 @@ class UserColumns:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _indexed(cls, rows: np.ndarray, counts: np.ndarray) -> "UserColumns":
+        """Whole users of an indexed instance, with their row counts: the
+        index carries over, so the contiguity check is not rerun."""
+        columns = cls(rows)
+        columns._counts = counts.astype(np.int64, copy=False)
+        columns._starts = np.cumsum(columns._counts) - columns._counts
+        return columns
+
+    @classmethod
     def empty(cls) -> "UserColumns":
         return cls(np.zeros(0, dtype=ROW_DTYPE))
 
@@ -277,7 +287,10 @@ class UserColumns:
             counts = np.diff(
                 np.concatenate((starts, [np.int64(ids.size)]))
             ).astype(np.int64)
-            if ids.size and np.unique(ids).size != starts.size:
+            # Each run must belong to a user of its own: sorted run ids
+            # hold no neighbours that are equal.
+            run_ids = np.sort(ids[starts])
+            if (run_ids[1:] == run_ids[:-1]).any():
                 raise DatasetError(
                     "rows of each user must be contiguous (grouped by "
                     "user_id in observation order)"
@@ -374,16 +387,26 @@ class UserColumns:
             raise DatasetError(
                 f"user mask has shape {mask.shape}, expected ({self.n_users},)"
             )
-        return UserColumns(self._rows[np.repeat(mask, self.user_counts)])
+        counts = self.user_counts
+        return UserColumns._indexed(
+            self._rows[np.repeat(mask, counts)], counts[mask]
+        )
 
     def take(self, users: np.ndarray) -> "UserColumns":
         """A new dataset of the users at positions ``users``, in that
-        order, each user's rows whole and in order."""
-        users = np.asarray(users, dtype=np.int64)
+        order, each user's rows whole and in order. A position may
+        appear once."""
         starts, counts = self._index()
+        users = np.arange(starts.size)[np.asarray(users, dtype=np.int64)]
+        taken = np.zeros(starts.size, dtype=bool)
+        taken[users] = True
+        if np.count_nonzero(taken) != users.size:
+            raise DatasetError("take: a user position appears more than once")
         counts = counts[users]
         offsets = np.repeat(starts[users] - (np.cumsum(counts) - counts), counts)
-        return UserColumns(self._rows[offsets + np.arange(int(counts.sum()))])
+        return UserColumns._indexed(
+            self._rows[offsets + np.arange(int(counts.sum()))], counts
+        )
 
     def service_period(self, row: int) -> ServicePeriod:
         """Row ``row`` as a :class:`~repro.core.upgrades.ServicePeriod`."""

@@ -417,3 +417,54 @@ class TestMatchPairsArrays:
     def test_no_confounders_rejected(self):
         with pytest.raises(MatchingError):
             matching.match_pairs_arrays([], [])
+
+
+class TestLimitsChecked:
+    """Both entry points check the caliper and ``max_pairs`` before
+    anything else, empty pools included."""
+
+    BAD_CALIPERS = (0.0, -0.5, -2.0, math.nan, math.inf, -math.inf, "0.25")
+    BAD_MAX_PAIRS = (-1, 1.5, "3", True)
+
+    def _entry_points(self, control, treatment):
+        yield lambda **kw: matching.match_pairs(
+            [{"v": v} for v in control], [{"v": v} for v in treatment],
+            [by_value], **kw,
+        )
+        yield lambda **kw: matching.match_pairs_arrays(
+            [np.array(control, dtype=float)],
+            [np.array(treatment, dtype=float)], **kw,
+        )
+
+    @pytest.mark.parametrize("caliper", BAD_CALIPERS)
+    @pytest.mark.parametrize("pools", [([1.0, 2.0], [1.0]), ([], [1.0]), ([], [])])
+    def test_bad_caliper_rejected(self, caliper, pools):
+        for match in self._entry_points(*pools):
+            with pytest.raises(MatchingError, match="caliper"):
+                match(caliper=caliper)
+
+    @pytest.mark.parametrize("max_pairs", BAD_MAX_PAIRS)
+    @pytest.mark.parametrize("pools", [([1.0, 2.0], [1.0]), ([], [])])
+    def test_bad_max_pairs_rejected(self, max_pairs, pools):
+        for match in self._entry_points(*pools):
+            with pytest.raises(MatchingError, match="max_pairs"):
+                match(max_pairs=max_pairs)
+
+    def test_checked_before_the_confounder_set(self):
+        with pytest.raises(MatchingError, match="caliper"):
+            matching.match_pairs([], [], [], caliper=math.nan)
+        with pytest.raises(MatchingError, match="caliper"):
+            matching.match_pairs_arrays([], [], caliper=-1.0)
+
+    def test_caliper_compatible_rejects_a_nan_caliper(self):
+        with pytest.raises(MatchingError, match="caliper"):
+            matching.caliper_compatible(1.0, 1.0, caliper=math.nan)
+
+    def test_valid_limits_accepted(self):
+        control = [1.0, 1.1, 5.0]
+        treatment = [1.05, 5.2, 9.0]
+        for match in self._entry_points(control, treatment):
+            assert match(caliper=np.float64(0.25)).n_matched == 2
+            assert match(max_pairs=np.int64(1)).n_matched == 1
+            assert match(max_pairs=0).n_matched == 0
+            assert match(max_pairs=None).n_matched == 2

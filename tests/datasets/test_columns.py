@@ -398,6 +398,47 @@ class TestAccessors:
         assert list(merged.user_ids) == ["b", "a"]
 
 
+class TestCarriedIndex:
+    """``select_users`` and ``take`` hand their result the per-user index
+    instead of rebuilding it; it must be the index a fresh instance over
+    the same rows builds."""
+
+    @staticmethod
+    def _assert_fresh_index(derived):
+        fresh = UserColumns(derived.rows)
+        for name in ("user_starts", "user_counts"):
+            carried, rebuilt = getattr(derived, name), getattr(fresh, name)
+            assert carried.dtype == rebuilt.dtype == np.int64
+            np.testing.assert_array_equal(carried, rebuilt)
+        np.testing.assert_array_equal(
+            derived.current("user_id"), fresh.current("user_id")
+        )
+
+    def test_random_masks_and_permutations(self, tiny_world):
+        columns = tiny_world.all_columns
+        rng = np.random.default_rng(5)
+        n = columns.n_users
+        for share in (0.0, 0.1, 0.5, 0.9, 1.0):
+            mask = rng.random(n) < share
+            selected = columns.select_users(mask)
+            self._assert_fresh_index(selected)
+            # A selection of a selection carries the index on.
+            self._assert_fresh_index(
+                selected.select_users(rng.random(selected.n_users) < 0.5)
+            )
+        for size in (0, 1, n // 3, n):
+            taken = columns.take(rng.permutation(n)[:size])
+            self._assert_fresh_index(taken)
+            self._assert_fresh_index(taken.take(rng.permutation(size)))
+
+    def test_take_rejects_a_repeated_position(self, tiny_world):
+        columns = tiny_world.all_columns
+        last = columns.n_users - 1
+        for users in ([0, 0], [0, 1, 0], [-1, last]):
+            with pytest.raises(DatasetError, match="more than once"):
+                columns.take(users)
+
+
 # ---------------------------------------------------------------------------
 # index_of_array == index_of, everywhere.
 # ---------------------------------------------------------------------------
