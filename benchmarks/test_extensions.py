@@ -12,7 +12,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.capacity import table1
 from repro.analysis.caps import caps_experiment
 from repro.analysis.common import demand_outcome, matched_experiment
 from repro.analysis.diurnal import population_diurnal_profile
@@ -163,24 +162,38 @@ def test_extension_diurnal_profiles(benchmark, paper_world):
 def test_extension_seed_robustness(benchmark):
     """The Table 1 effect across independent seeds: reproducibility of
     the headline causal finding is not a property of one lucky world."""
-    from repro.analysis.sensitivity import proportion_sweep
+    from repro.sweep import ScenarioGrid, run_sweep
 
     base = WorldConfig(
         seed=0, n_dasu_users=1200, n_fcc_users=0, days_per_year=1.0
     )
-
-    def stat(world):
-        result = table1(world.dasu.columns)
-        return result.peak.fraction_holds, result.peak.n_pairs
-
     sweep = benchmark.pedantic(
-        lambda: proportion_sweep(base, seeds=(101, 202, 303), statistic=stat),
+        lambda: run_sweep(
+            base,
+            ScenarioGrid.baseline(),
+            seeds=(101, 202, 303),
+            experiments=("table1",),
+        ),
         rounds=1,
         iterations=1,
     )
-    emit("Extension: Table 1 across independent seeds", sweep.rows())
-    assert sweep.all_above(0.5)
-    assert sweep.mean > 0.55
+    peak = [
+        v
+        for cell in sweep.cells
+        for v in cell.verdicts
+        if v.row == "Peak usage"
+    ]
+    emit(
+        "Extension: Table 1 across independent seeds",
+        [
+            f"  seed {seed}: {v.fraction_holds:.3f} ({v.n_pairs} pairs)"
+            for seed, v in zip(sweep.seeds, peak)
+        ],
+    )
+    fractions = sweep.fractions_for("table1", "Peak usage")
+    assert len(fractions) == 3
+    assert all(f > 0.5 for f in fractions)
+    assert sum(fractions) / len(fractions) > 0.55
 
 
 def test_extension_upload_direction(benchmark, dasu_users):

@@ -26,7 +26,6 @@ from . import (
     price,
     quality,
     segments,
-    sensitivity,
     upgrade_cost,
     upload,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "price",
     "quality",
     "segments",
-    "sensitivity",
     "upgrade_cost",
     "upload",
 ]

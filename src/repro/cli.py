@@ -278,9 +278,8 @@ def _sweep(args: argparse.Namespace) -> int:
     from .sweep import (
         SWEEP_EXPERIMENTS,
         ScenarioGrid,
-        format_sweep_report,
         run_sweep,
-        sweep_payload,
+        sweep_files,
     )
 
     jobs = resolve_jobs(args.jobs)
@@ -329,14 +328,12 @@ def _sweep(args: argparse.Namespace) -> int:
         f"worlds from cache: {result.n_cache_hits}/{len(result.cells)}",
         file=sys.stderr,
     )
-    text = format_sweep_report(result)
+    files = sweep_files(result)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.txt").write_text(text + "\n")
-        (out / "sweep.json").write_text(
-            json.dumps(sweep_payload(result), indent=2, sort_keys=True) + "\n"
-        )
+        for name, text in files.items():
+            (out / name).write_text(text)
         print(f"sweep report written to {out}")
         if args.trace:
             _write_trace(
@@ -353,7 +350,7 @@ def _sweep(args: argparse.Namespace) -> int:
                 out,
             )
     else:
-        print(text)
+        print(files["report.txt"], end="")
     return 0
 
 

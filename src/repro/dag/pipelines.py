@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -203,7 +202,7 @@ def _sweep_cell_fingerprint(outcome: CellOutcome) -> str:
 def _sweep_report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     from ..sweep.engine import SweepResult
     from ..sweep.grid import ScenarioGrid
-    from ..sweep.report import format_sweep_report, sweep_payload
+    from ..sweep.report import sweep_files
 
     grid = ScenarioGrid.from_payload(config["grid"])
     sweep = SweepResult(
@@ -213,15 +212,7 @@ def _sweep_report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
         experiments=tuple(config["experiments"]),
         cells=tuple(inputs[name].result for name in config["cells"]),
     )
-    return FileBundle(
-        files={
-            "report.txt": format_sweep_report(sweep) + "\n",
-            "sweep.json": json.dumps(
-                sweep_payload(sweep), indent=2, sort_keys=True
-            )
-            + "\n",
-        }
-    )
+    return FileBundle(files=sweep_files(sweep))
 
 
 #: The survey slice's digest when the dataset has no ``survey.csv``: no

@@ -9,9 +9,9 @@ run resumes by reloading every entry whose key still matches; anything
 else — absent, truncated, corrupted, or computed under a different key
 or code version — reads as a miss and the stage re-executes.
 
-The publish discipline is the same as the world cache's
-(:meth:`repro.datasets.cache.WorldCache.store`): every file is written
-into a hidden ``.staging-*`` directory and made visible by a single
+Entries publish through the same path as the world cache's
+(:func:`repro.core.staging.publish`): every file is written into a
+hidden ``.staging-*`` directory and made visible by a single
 ``os.replace``. A SIGKILL at any point therefore leaves either no entry
 or a complete one; a concurrent (or interrupted-then-resumed) reader can
 never observe a partial artifact. Artifact bytes are additionally
@@ -23,20 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from urllib.parse import quote
 
-from ..core.staging import (
-    clear_heartbeat,
-    sweep_stale_staging,
-    touch_heartbeat,
-)
+from ..core.staging import publish, touch_heartbeat
 from ..obs.ledger import RunLedger
 
 __all__ = ["DagStore", "StoredStage", "hash_artifact"]
@@ -47,11 +41,6 @@ DAG_STORE_FORMAT = 1
 _META_FILE = "meta.json"
 _ARTIFACT_FILE = "artifact.pkl"
 _LEDGER_FILE = "ledger.jsonl"
-#: Same staging discipline as the world cache: hidden names that cannot
-#: collide with a percent-encoded stage directory, swept once clearly
-#: abandoned (see :mod:`repro.core.staging` for the clock-safe check).
-_STAGING_PREFIX = ".staging-"
-_STAGING_MAX_AGE_S = 3600.0
 
 
 def hash_artifact(artifact: Any) -> tuple[bytes, str]:
@@ -150,13 +139,8 @@ class DagStore:
         blob_sha256 = hashlib.sha256(artifact_blob).hexdigest()
         if output_hash is None:
             output_hash = blob_sha256
-        self.root.mkdir(parents=True, exist_ok=True)
-        sweep_stale_staging(
-            self.root, prefix=_STAGING_PREFIX, max_age_s=_STAGING_MAX_AGE_S
-        )
-        staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=self.root))
-        try:
-            touch_heartbeat(staging)
+
+        def write(staging: Path) -> None:
             (staging / _ARTIFACT_FILE).write_bytes(artifact_blob)
             touch_heartbeat(staging)
             if ledger is not None and not ledger.is_empty:
@@ -174,28 +158,15 @@ class DagStore:
                     sort_keys=True,
                 )
             )
-            clear_heartbeat(staging)
-            entry = self.stage_dir(stage_name)
-            try:
-                os.replace(staging, entry)
-            except OSError:
-                # Occupied: a previous run's entry under another key, or
-                # a concurrent writer. An equivalent valid entry wins
-                # the race benignly; anything else is replaced.
-                if self.load(stage_name, key) is not None:
-                    shutil.rmtree(staging, ignore_errors=True)
-                    return entry
-                shutil.rmtree(entry, ignore_errors=True)
-                try:
-                    os.replace(staging, entry)
-                except OSError:
-                    if self.load(stage_name, key) is None:
-                        raise
-                    shutil.rmtree(staging, ignore_errors=True)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return entry
+
+        # An occupant under another key (a previous run's entry) is
+        # replaced; an equivalent valid one wins a concurrent store.
+        return publish(
+            self.root,
+            self.stage_dir(stage_name),
+            write,
+            lambda: self.load(stage_name, key) is not None,
+        )
 
     def clear(self) -> None:
         """Drop every stored stage (``repro dag run --no-resume``)."""

@@ -107,11 +107,20 @@ class AppendDelta:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "AppendDelta":
-        return cls(
-            n_dasu_users=int(payload.get("n_dasu_users", 0)),
-            n_fcc_users=int(payload.get("n_fcc_users", 0)),
-        )
+    def from_payload(cls, payload: object) -> "AppendDelta":
+        """The delta a spool file or log record holds, validated as is:
+        a non-object payload or an unknown key raises
+        :class:`DatasetError`, and so does any value the constructor
+        rejects (nothing is coerced to an int)."""
+        if not isinstance(payload, dict):
+            raise DatasetError(
+                f"an append delta must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
+        unknown = sorted(set(payload) - {"n_dasu_users", "n_fcc_users"})
+        if unknown:
+            raise DatasetError(f"unknown append delta keys: {unknown}")
+        return cls(**payload)
 
     def apply(self, config: WorldConfig) -> WorldConfig:
         """The extended configuration this delta produces from ``config``."""
@@ -216,6 +225,8 @@ class DeltaLog:
                 payload = json.loads(path.read_text())
             except (OSError, ValueError):
                 continue
+            if not isinstance(payload, dict):
+                continue
             if payload.get("append_format") != APPEND_FORMAT_VERSION:
                 continue
             if payload.get("base_key") != self.base_key:
@@ -230,22 +241,21 @@ class DeltaLog:
         (concurrent appends of different deltas onto one parent) the
         record with the smallest content key wins, deterministically.
         """
-        by_parent: dict[str, list[tuple[str, dict]]] = {}
+        by_parent: dict[str, list[tuple[str, AppendDelta, dict]]] = {}
         for record in self._records():
-            key = self.record_key(
-                self.base_key,
-                str(record.get("parent_key")),
-                AppendDelta.from_payload(dict(record.get("delta", {}))),
-            )
-            by_parent.setdefault(str(record.get("parent_key")), []).append(
-                (key, record)
-            )
+            try:
+                delta = AppendDelta.from_payload(record.get("delta", {}))
+            except DatasetError:
+                continue  # an invalid delta skips like a corrupt record
+            parent = str(record.get("parent_key"))
+            key = self.record_key(self.base_key, parent, delta)
+            by_parent.setdefault(parent, []).append((key, delta, record))
         chain: list[AppendDelta] = []
         cursor = self.base_key
         seen = {cursor}
         while cursor in by_parent:
-            _, record = min(by_parent[cursor], key=lambda item: item[0])
-            chain.append(AppendDelta.from_payload(dict(record["delta"])))
+            _, delta, record = min(by_parent[cursor], key=lambda item: item[0])
+            chain.append(delta)
             cursor = str(record["extended_key"])
             if cursor in seen:  # defensive: a corrupt log must not loop
                 break

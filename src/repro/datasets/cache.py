@@ -36,17 +36,12 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .._version import __version__
-from ..core.staging import (
-    clear_heartbeat,
-    sweep_stale_staging,
-    touch_heartbeat,
-)
+from ..core.staging import publish, touch_heartbeat
 from ..exceptions import DatasetError, ReproError
 from ..market.countries import CountryProfile, build_profiles
 from ..market.survey import PlanSurvey
@@ -93,11 +88,6 @@ _REPORT_FILE = "sanitization.json"
 #: cache key invalidated older entries); its absence is tolerated for
 #: hand-assembled worlds stored without one.
 _TRACE_FILE = "trace.jsonl"
-#: Staging directories are hidden and can never collide with an entry
-#: (cache keys are 64 hex characters); ones untouched longer than this
-#: belong to killed stores and are swept.
-_STAGING_PREFIX = ".staging-"
-_STAGING_MAX_AGE_S = 3600.0
 
 
 def payload_key(payload: dict) -> str:
@@ -272,35 +262,21 @@ class WorldCache:
 
         Returns ``None`` (stores nothing) for trace-bearing worlds.
 
-        **Atomicity under interruption.** Every file is written into a
-        hidden ``.staging-*`` directory and published in one
-        ``os.replace`` — the only step that makes the entry visible.
-        A process killed at any earlier point leaves nothing but a
-        staging directory whose name can never collide with a cache key
-        (keys are 64 hex characters; staging names start with a dot), so
-        a concurrent :meth:`load` observes either no entry or a complete
-        one, never a partial write. Orphaned staging directories from
-        killed stores are swept opportunistically once they are clearly
-        abandoned. (The guarantee covers process interruption; a power
-        loss may still lose buffered writes — entries are validated on
-        load and any damage reads as a miss.)
-
-        Safe under concurrent stores of the same config: the build is
-        deterministic, so losing the publish race to another process is
-        a benign success — if a valid entry already occupies the path,
-        the staging copy is discarded and the existing entry returned.
-        Only an *invalid* occupant (stale format, corruption) is
+        **Atomicity under interruption.** The entry is published through
+        :func:`repro.core.staging.publish`: a process killed before its
+        single ``os.replace`` leaves nothing but a hidden staging
+        directory, so a concurrent :meth:`load` observes either no entry
+        or a complete one, never a partial write. (The guarantee covers
+        process interruption; a power loss may still lose buffered
+        writes — entries are validated on load and any damage reads as a
+        miss.) A valid occupant of the entry path wins a concurrent
+        store; only an *invalid* one (stale format, corruption) is
         replaced.
         """
         if not self._cacheable(world.config):
             return None
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._sweep_stale_staging()
-        staging = Path(
-            tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=self.root)
-        )
-        try:
-            touch_heartbeat(staging)
+
+        def write(staging: Path) -> None:
             shard = staging / _COLUMNS_FILE
             n_rows = write_users_npy(world.all_columns, shard)
             (staging / _COLUMNS_META).write_text(
@@ -327,43 +303,12 @@ class WorldCache:
                 )
             if world.ledger is not None:
                 (staging / _TRACE_FILE).write_text(world.ledger.to_jsonl())
-            clear_heartbeat(staging)
-            entry = self.entry_dir(world.config)
-            try:
-                os.replace(staging, entry)
-            except OSError:
-                # The entry path is occupied (concurrent store, or a
-                # stale/corrupt leftover). Validate before touching it.
-                if self.load(world.config) is not None:
-                    # Lost the race to an equivalent valid entry.
-                    shutil.rmtree(staging, ignore_errors=True)
-                    return entry
-                shutil.rmtree(entry, ignore_errors=True)
-                try:
-                    os.replace(staging, entry)
-                except OSError:
-                    # A concurrent storer re-published between the
-                    # rmtree and the replace. Deterministic builds make
-                    # a valid occupant equivalent to ours; anything
-                    # else is a real failure.
-                    if self.load(world.config) is None:
-                        raise
-                    shutil.rmtree(staging, ignore_errors=True)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
-        return entry
 
-    def _sweep_stale_staging(self) -> None:
-        """Drop abandoned ``.staging-*`` directories (killed stores).
-
-        Delegates to :func:`repro.core.staging.sweep_stale_staging`,
-        which ages a candidate by the newest mtime anywhere inside it
-        (heartbeat file included) and tolerates clock steps in either
-        direction — an in-flight concurrent store is never disturbed.
-        """
-        sweep_stale_staging(
-            self.root, prefix=_STAGING_PREFIX, max_age_s=_STAGING_MAX_AGE_S
+        return publish(
+            self.root,
+            self.entry_dir(world.config),
+            write,
+            lambda: self.load(world.config) is not None,
         )
 
     def invalidate(self, config: WorldConfig) -> bool:

@@ -221,7 +221,7 @@ class ReportService:
             self._sweep_json = None
             self._sweep_report = None
             return None, None
-        from ..sweep import format_sweep_report, run_sweep, sweep_payload
+        from ..sweep import run_sweep, sweep_files
 
         state = (payload_key(self.grid.to_payload()), cache_key(config))
         if state == self._sweep_state:
@@ -235,10 +235,9 @@ class ReportService:
             cache_root=str(self.cache.root),
             use_cache=self.use_cache,
         )
-        self._sweep_json = (
-            json.dumps(sweep_payload(result), indent=2, sort_keys=True) + "\n"
-        )
-        self._sweep_report = format_sweep_report(result) + "\n"
+        files = sweep_files(result)
+        self._sweep_json = files["sweep.json"]
+        self._sweep_report = files["report.txt"]
         self._sweep_state = state
         return self._sweep_json, self._sweep_report
 
@@ -282,7 +281,7 @@ class ReportService:
                     self.grid = ScenarioGrid.from_payload(payload)
                     self._sweep_state = None
                 else:
-                    self.append(AppendDelta.from_payload(dict(payload)))
+                    self.append(AppendDelta.from_payload(payload))
             except (OSError, ValueError, TypeError, ReproError) as exc:
                 self.rejected += 1
                 print(

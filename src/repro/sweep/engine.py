@@ -2,9 +2,11 @@
 
 :func:`run_sweep` expands a :class:`~repro.sweep.grid.ScenarioGrid`
 against a base :class:`~repro.datasets.world.WorldConfig` into cells —
-one world per (scenario, replicate seed) — fans the cells out through
-:func:`repro.core.executor.run_sharded`, and evaluates a chosen set of
-paper experiments (:mod:`repro.sweep.runners`) in every cell.
+one world per (scenario, replicate seed) — runs each cell as a stage of
+the experiment DAG (:func:`repro.dag.sweep_spec`), and evaluates a
+chosen set of paper experiments (:mod:`repro.sweep.runners`) in every
+cell. It is the package's one way to evaluate the paper's experiments
+across seeds.
 
 Three properties carry over from the rest of the pipeline:
 
@@ -18,10 +20,6 @@ Three properties carry over from the rest of the pipeline:
 * **hit/miss equivalence** — a cell's results, and its contribution to
   the merged run ledger, are identical whether its world was built
   fresh or loaded from the cache (the cache stores each build's trace).
-
-:func:`sweep_worlds` exposes the same machinery at the world level for
-callers that run their own statistics (``analysis/sensitivity.py`` is a
-thin adapter over it).
 """
 
 from __future__ import annotations
@@ -32,15 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.executor import run_sharded
 from ..datasets.cache import WorldCache, build_or_load_world
 from ..datasets.world import World, WorldConfig
 from ..exceptions import AnalysisError, SweepError
 from ..obs.ledger import RunLedger, count, current, span
-from .grid import Scenario, ScenarioGrid
+from .grid import ScenarioGrid
 from .runners import SWEEP_EXPERIMENTS, VerdictRow, run_experiment
 
-__all__ = ["CellResult", "SweepResult", "run_sweep", "sweep_worlds"]
+__all__ = ["CellResult", "SweepResult", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -124,24 +121,6 @@ class _CellTask:
     iqb_config: object = None
 
 
-def _cell_world(
-    config: WorldConfig, cache_root: str | None, use_cache: bool
-) -> tuple[World, bool]:
-    """Build or load one cell's world, folding its build trace into the
-    ambient ledger (identical bytes whether the world was cached)."""
-    world, from_cache = build_or_load_world(
-        config,
-        jobs=1,
-        cache=WorldCache(cache_root),
-        use_cache=use_cache,
-        ground_truth=False,
-    )
-    ambient = current()
-    if ambient is not None and world.ledger is not None:
-        ambient.merge(world.ledger)
-    return world, from_cache
-
-
 def _headline(
     world: World, iqb_config: object = None
 ) -> tuple[tuple[str, float], ...]:
@@ -172,9 +151,18 @@ def _headline(
 
 
 def _run_cell(task: _CellTask) -> tuple[CellResult, bool]:
-    world, from_cache = _cell_world(
-        task.config, task.cache_root, task.use_cache
+    world, from_cache = build_or_load_world(
+        task.config,
+        jobs=1,
+        cache=WorldCache(task.cache_root),
+        use_cache=task.use_cache,
+        ground_truth=False,
     )
+    # Fold the build trace into the ambient ledger: a cache entry stores
+    # its build's trace, so hit and miss cells record the same bytes.
+    ambient = current()
+    if ambient is not None and world.ledger is not None:
+        ambient.merge(world.ledger)
     verdicts: list[VerdictRow] = []
     skipped: list[str] = []
     with span(f"sweep/cell/{task.scenario}/seed={task.seed}"):
@@ -233,8 +221,8 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate ``experiments`` over every (scenario, seed) cell.
 
-    Cells run through :func:`~repro.core.executor.run_sharded` with
-    ``jobs`` workers; results (and the merged ``ledger``, if one is
+    Cells run as DAG stages on a :class:`~repro.dag.ProcessPoolBackend`
+    with ``jobs`` workers; results (and the merged ``ledger``, if one is
     passed) are byte-identical for any worker count. Worlds are shared
     through the on-disk cache under ``cache_root`` (default resolution
     as in :func:`~repro.datasets.cache.default_cache_root`), so
@@ -275,48 +263,3 @@ def run_sweep(
         cells=results,
         n_cache_hits=hits,
     )
-
-
-@dataclass(frozen=True)
-class _WorldTask:
-    """One world to materialize (the world-level sweep primitive)."""
-
-    config: WorldConfig
-    cache_root: str | None
-    use_cache: bool
-
-
-def _world_worker(task: _WorldTask) -> World:
-    world, _ = _cell_world(task.config, task.cache_root, task.use_cache)
-    return world
-
-
-def sweep_worlds(
-    base_config: WorldConfig,
-    seeds: Sequence[int],
-    *,
-    jobs: int | None = 1,
-    cache_root: str | Path | None = None,
-    use_cache: bool = True,
-    ledger: RunLedger | None = None,
-) -> list[World]:
-    """One world per seed (``base_config`` with the seed replaced), in
-    seed order, built through the shared world cache.
-
-    This is the world-level sweep primitive behind
-    :func:`repro.analysis.sensitivity.seed_sweep`: callers apply their
-    own statistics to the returned worlds.
-    """
-    if not seeds:
-        raise SweepError("a sweep needs at least one seed")
-    scenario = Scenario(name="baseline")
-    root = None if cache_root is None else str(cache_root)
-    tasks = [
-        _WorldTask(
-            config=scenario.apply(base_config, int(seed)),
-            cache_root=root,
-            use_cache=use_cache,
-        )
-        for seed in seeds
-    ]
-    return run_sharded(_world_worker, tasks, jobs=jobs, ledger=ledger)

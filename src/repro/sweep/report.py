@@ -12,12 +12,19 @@ worker count, cache state, or scheduling.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from ..core.stats import ConfidenceInterval, wilson_interval
 from .engine import SweepResult
 
-__all__ = ["StabilityRow", "format_sweep_report", "stability_matrix", "sweep_payload"]
+__all__ = [
+    "StabilityRow",
+    "format_sweep_report",
+    "stability_matrix",
+    "sweep_files",
+    "sweep_payload",
+]
 
 
 @dataclass(frozen=True)
@@ -190,4 +197,18 @@ def sweep_payload(sweep: SweepResult) -> dict:
         "experiments": list(sweep.experiments),
         "stability": [row.to_payload() for row in stability_matrix(sweep)],
         "cells": [cell.to_payload() for cell in sweep.cells],
+    }
+
+
+def sweep_files(sweep: SweepResult) -> dict[str, str]:
+    """The sweep's output files by name: ``report.txt`` and ``sweep.json``.
+
+    The one rendering of both files, shared by ``repro sweep --out``, the
+    DAG's ``sweep-report`` stage and the served ``/sweep.json`` and
+    ``/sweep-report.txt``.
+    """
+    return {
+        "report.txt": format_sweep_report(sweep) + "\n",
+        "sweep.json": json.dumps(sweep_payload(sweep), indent=2, sort_keys=True)
+        + "\n",
     }

@@ -118,11 +118,26 @@ def test_trace_bearing_config_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"n_dasu_users": -1}, {"n_fcc_users": -2}, {"n_dasu_users": 1.5}]
+    "kwargs",
+    [
+        {"n_dasu_users": -1},
+        {"n_fcc_users": -2},
+        {"n_dasu_users": 1.5},
+        {"n_dasu_users": 2.7},
+        {"n_dasu_users": True},
+        {"n_dasu_users": "16"},
+        {"n_dasu_users": None},
+        {"n_dasu_user": 16},
+        [["n_dasu_users", 16]],
+        16,
+    ],
 )
 def test_delta_validation(kwargs):
+    """Outside input is validated as given, never coerced to an int: a
+    float, bool or string count, an unknown key or a non-object payload
+    raises."""
     with pytest.raises(DatasetError):
-        AppendDelta(**kwargs)
+        AppendDelta.from_payload(kwargs)
 
 
 def test_delta_payload_roundtrip():
@@ -174,6 +189,25 @@ class TestDeltaLog:
         (log.root / "zzzz-foreign.json").write_text(
             json.dumps({"append_format": 999, "base_key": log.base_key})
         )
+        (log.root / "zzzz-list.json").write_text(json.dumps([1, 2]))
+        parent_key = cache_key(DELTA.apply(BASE))
+        for name, delta in (
+            ("zzzz-string", {"n_dasu_users": "x"}),
+            ("zzzz-float", {"n_dasu_users": 2.7}),
+            ("zzzz-typo", {"n_dasu_user": 16}),
+            ("zzzz-array", [16]),
+        ):
+            (log.root / f"{name}.json").write_text(
+                json.dumps(
+                    {
+                        "append_format": append_mod.APPEND_FORMAT_VERSION,
+                        "base_key": log.base_key,
+                        "parent_key": parent_key,
+                        "extended_key": "0" * 64,
+                        "delta": delta,
+                    }
+                )
+            )
         assert log.replay() == [DELTA]
 
     def test_append_world_records_to_log(self, tmp_path):

@@ -21,13 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.staging import STAGING_MAX_AGE_S, STAGING_PREFIX
 from repro.datasets import WorldConfig, build_world
-from repro.datasets.cache import (
-    _STAGING_MAX_AGE_S,
-    _STAGING_PREFIX,
-    WorldCache,
-    build_or_load_world,
-)
+from repro.datasets.cache import WorldCache, build_or_load_world
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -91,7 +87,7 @@ def test_killed_store_is_never_visible(tmp_path, kill_point):
     # when the kill came before any file was written into it is fine
     # too — mkdtemp itself may or may not have run).
     residue = list(cache_root.iterdir()) if cache_root.exists() else []
-    assert all(p.name.startswith(_STAGING_PREFIX) for p in residue)
+    assert all(p.name.startswith(STAGING_PREFIX) for p in residue)
 
 
 @pytest.mark.parametrize("kill_point", KILL_POINTS)
@@ -111,11 +107,11 @@ def test_interrupted_store_then_clean_rebuild(tmp_path, kill_point):
 def test_stale_staging_swept_fresh_left_alone(tmp_path):
     cache_root = tmp_path / "cache"
     cache_root.mkdir()
-    stale = cache_root / f"{_STAGING_PREFIX}stale"
-    fresh = cache_root / f"{_STAGING_PREFIX}fresh"
+    stale = cache_root / f"{STAGING_PREFIX}stale"
+    fresh = cache_root / f"{STAGING_PREFIX}fresh"
     stale.mkdir()
     fresh.mkdir()
-    old = time.time() - (_STAGING_MAX_AGE_S + 60)
+    old = time.time() - (STAGING_MAX_AGE_S + 60)
     os.utime(stale, (old, old))
 
     world = build_world(CONFIG, ground_truth=False)

@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.paper_report import fragment_inputs, fragment_keys
 from repro.datasets import WorldCache, WorldConfig
 from repro.service import ReportServer, ReportService
+from repro.sweep import ScenarioGrid, run_sweep, sweep_files
 
 CONFIG = WorldConfig(
     seed=23, n_dasu_users=80, n_fcc_users=12, days_per_year=1.0, sanitize=True
@@ -175,8 +176,20 @@ def test_spool_rejects_malformed_files(daemon, client):
     (spool / "broken.json.rejected").unlink()
 
 
-def test_spool_grid_enables_sweep_endpoints(daemon, client):
+def test_spool_rejects_invalid_delta(daemon, client):
+    """A misspelled key is rejected, not applied as an empty append."""
     server, service, _, spool = daemon
+    appends, tip = service.appends, service.log.tip_config()
+    (spool / "typo.json").write_text(json.dumps({"n_dasu_user": 16}))
+    assert server.poll_once() == 0
+    assert (spool / "typo.json.rejected").exists()
+    assert service.appends == appends
+    assert service.log.tip_config() == tip
+    (spool / "typo.json.rejected").unlink()
+
+
+def test_spool_grid_enables_sweep_endpoints(daemon, client):
+    server, service, cache, spool = daemon
     grid = {"name": "svc", "scenarios": [{"name": "baseline"}]}
     (spool / "verdicts.grid.json").write_text(json.dumps(grid))
     assert server.poll_once() == 1
@@ -184,8 +197,18 @@ def test_spool_grid_enables_sweep_endpoints(daemon, client):
     assert status == 200
     payload = json.loads(body)
     assert payload["cells"]
-    status, _, body = client.get("/sweep-report.txt")
-    assert status == 200 and body
+    status, _, report = client.get("/sweep-report.txt")
+    assert status == 200 and report
+    # The served files are the CLI's files for the same grid and seeds.
+    tip = service.log.tip_config()
+    files = sweep_files(
+        run_sweep(
+            tip, ScenarioGrid.from_payload(grid), (tip.seed,),
+            cache_root=cache.root,
+        )
+    )
+    assert body.decode("utf-8") == files["sweep.json"]
+    assert report.decode("utf-8") == files["report.txt"]
 
 
 def test_run_loop_exits_on_stop(daemon):

@@ -6,17 +6,13 @@ import dataclasses
 
 import pytest
 
-from repro.datasets import WorldConfig, build_world
 from repro.exceptions import SweepError
 from repro.obs import RunLedger
 from repro.sweep import (
     SWEEP_EXPERIMENTS,
     ScenarioGrid,
     run_sweep,
-    sweep_worlds,
 )
-
-from tests.analysis.record_model import to_records
 
 from .conftest import SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, small_sweep_grid
 
@@ -151,58 +147,3 @@ class TestRunSweep:
         assert len(fractions) == len(small_sweep.cells)
         assert all(0.0 <= f <= 1.0 for f in fractions)
         assert small_sweep.fractions_for("table1", "no such row") == ()
-
-
-class TestSweepWorlds:
-    @staticmethod
-    def _fingerprint(dataset):
-        # Cache-loaded worlds carry the same records as a fresh build
-        # but in persisted order, and the hourly profile is %.6g-encoded
-        # in the CSV (see tests/test_cache.py) — so compare the
-        # analysis-relevant fields, order-insensitively.
-        users = to_records(dataset.columns)
-        return sorted(
-            (
-                u.user_id,
-                u.country,
-                u.capacity_down_mbps,
-                u.peak_mbps,
-                u.peak_no_bt_mbps,
-                u.latency_ms,
-                u.loss_fraction,
-                len(u.observations),
-            )
-            for u in users
-        )
-
-    def test_worlds_match_direct_builds(self, tmp_path):
-        worlds = sweep_worlds(
-            SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, jobs=2, cache_root=tmp_path
-        )
-        assert [w.config.seed for w in worlds] == list(SMALL_SWEEP_SEEDS)
-        for seed, world in zip(SMALL_SWEEP_SEEDS, worlds):
-            direct = build_world(
-                dataclasses.replace(SMALL_SWEEP_BASE, seed=seed)
-            )
-            assert self._fingerprint(world.dasu) == self._fingerprint(
-                direct.dasu
-            )
-            assert self._fingerprint(world.fcc) == self._fingerprint(
-                direct.fcc
-            )
-
-    def test_cached_reload_is_identical(self, tmp_path):
-        first = sweep_worlds(
-            SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, cache_root=tmp_path
-        )
-        again = sweep_worlds(
-            SMALL_SWEEP_BASE, SMALL_SWEEP_SEEDS, cache_root=tmp_path
-        )
-        for a, b in zip(first, again):
-            assert self._fingerprint(a.dasu) == self._fingerprint(
-                b.dasu
-            )
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(SweepError, match="at least one seed"):
-            sweep_worlds(SMALL_SWEEP_BASE, ())
