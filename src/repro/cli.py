@@ -165,7 +165,7 @@ def _build(args: argparse.Namespace) -> int:
     columns = world.all_columns
     n_users = write_users_csv(columns, out / "users.csv")
     write_users_npy(columns, out / "users.npy")
-    n_plans = write_survey_csv(world.survey, out / "survey.csv")
+    n_plans = write_survey_csv(world.survey_csv, out / "survey.csv")
     write_config_json(config, out / "config.json")
     if world.sanitization is not None:
         (out / "sanitization.json").write_text(

@@ -55,7 +55,7 @@ from ..datasets.io import (
     config_from_payload,
     config_payload,
     load_dataset_dir,
-    survey_csv_text,
+    survey_csv_bytes,
 )
 from ..datasets.world import World, WorldConfig
 from ..exceptions import DagError
@@ -215,34 +215,33 @@ def _sweep_report_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     return FileBundle(files=sweep_files(sweep))
 
 
-#: The survey slice's digest when the dataset has no ``survey.csv``: no
-#: survey rendering hashes to it, since every one starts with a header.
-_ABSENT_SURVEY_DIGEST = hashlib.sha256(b"").hexdigest()
-
-
 def _world_slice_kind(config: dict, inputs: dict, ctx) -> WorldSlice:
     name = str(config["slice"])
     (data,) = inputs.values()
-    if isinstance(data, World):
-        data = DatasetTriple(data.dasu.columns, data.fcc.columns, data.survey)
-    elif not isinstance(data, DatasetTriple):
+    if not isinstance(data, (World, DatasetTriple)):
         raise DagError(
             f"the world-slice kind needs a world or dataset input, got "
             f"{type(data).__name__}"
         )
     if name in ("dasu", "fcc"):
         columns = getattr(data, name)
+        if isinstance(data, World):
+            columns = columns.columns
         digest = hashlib.sha256(
             np.ascontiguousarray(columns.rows).tobytes()
         ).hexdigest()
         return WorldSlice(name=name, data=columns, digest=digest)
     if name == "survey":
-        if data.survey is None:
-            digest = _ABSENT_SURVEY_DIGEST
+        # A world carries its survey's canonical bytes. A dataset
+        # without ``survey.csv`` hashes the empty string, which no
+        # rendering does, since every one starts with a header.
+        if isinstance(data, World):
+            blob = data.survey_csv
+        elif data.survey is None:
+            blob = b""
         else:
-            digest = hashlib.sha256(
-                survey_csv_text(data.survey).encode("utf-8")
-            ).hexdigest()
+            blob = survey_csv_bytes(data.survey)
+        digest = hashlib.sha256(blob).hexdigest()
         return WorldSlice(name=name, data=data.survey, digest=digest)
     raise DagError(f"unknown world slice {name!r}")
 

@@ -240,8 +240,12 @@ class DeltaLog:
         Follows ``parent_key`` links starting at the base key; at a fork
         (concurrent appends of different deltas onto one parent) the
         record with the smallest content key wins, deterministically.
+        Each step's extended key is derived from the parent's config and
+        the delta, never read from the record, so a record whose
+        ``extended_key`` is missing or wrong cannot stop or misroute the
+        chain.
         """
-        by_parent: dict[str, list[tuple[str, AppendDelta, dict]]] = {}
+        by_parent: dict[str, list[tuple[str, AppendDelta]]] = {}
         for record in self._records():
             try:
                 delta = AppendDelta.from_payload(record.get("delta", {}))
@@ -249,15 +253,17 @@ class DeltaLog:
                 continue  # an invalid delta skips like a corrupt record
             parent = str(record.get("parent_key"))
             key = self.record_key(self.base_key, parent, delta)
-            by_parent.setdefault(parent, []).append((key, delta, record))
+            by_parent.setdefault(parent, []).append((key, delta))
         chain: list[AppendDelta] = []
+        config = self.base_config
         cursor = self.base_key
         seen = {cursor}
         while cursor in by_parent:
-            _, delta, record = min(by_parent[cursor], key=lambda item: item[0])
+            _, delta = min(by_parent[cursor], key=lambda item: item[0])
             chain.append(delta)
-            cursor = str(record["extended_key"])
-            if cursor in seen:  # defensive: a corrupt log must not loop
+            config = delta.apply(config)
+            cursor = cache_key(config)
+            if cursor in seen:  # an empty delta leaves the key unchanged
                 break
             seen.add(cursor)
         return chain
@@ -469,10 +475,9 @@ def append_world(
         report.merge(delta_report)
 
     dasu_columns, fcc_columns = _merge_columns(context, base_world, new_parts)
-    world = World(
+    world = World.with_survey(
+        context.survey,
         config=extended,
-        profiles=context.profile_map,
-        survey=context.survey,
         dasu=DasuDataset(columns=dasu_columns),
         fcc=FccDataset(columns=fcc_columns),
         ground_truth={},

@@ -857,10 +857,9 @@ def build_world(
         "build.periods.kept", dasu_columns.n_rows + fcc_columns.n_rows
     )
 
-    return World(
+    return World.with_survey(
+        context.survey,
         config=config,
-        profiles=context.profile_map,
-        survey=context.survey,
         dasu=DasuDataset(columns=dasu_columns),
         fcc=FccDataset(columns=fcc_columns),
         ground_truth=latents,

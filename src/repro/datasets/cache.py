@@ -13,9 +13,13 @@ Each entry is a directory ``<root>/<key>/`` holding the columnar
 ``config.json`` (plus ``sanitization.json`` and the ``trace.jsonl``
 build ledger), written atomically via a temp directory + rename. Hits
 load through the memory-mapped shard; the manifest ties it to its
-schema version, row count and byte size. A missing, truncated, foreign
-or mismatched shard — like any other unreadable file — is a miss, and
-the caller falls back to a clean build, never crashes.
+schema version, row count and byte size, and records the SHA-256 of
+``survey.csv``. A hit reads the survey's bytes and checks them against
+that digest, but decodes them into a :class:`~repro.market.survey.
+PlanSurvey` only when something first reads ``world.survey`` — most
+analyses never do. A missing, truncated, foreign or mismatched shard or
+survey — like any other unreadable file — is a miss, and the caller
+falls back to a clean build, never crashes.
 
 ``users.csv`` is an export, not part of the entry:
 :meth:`WorldCache.fetch_into` renders it from the entry's columns, so a
@@ -31,27 +35,21 @@ indistinguishable for every figure, table, and report.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import shutil
 from pathlib import Path
 
-import numpy as np
-
 from .._version import __version__
 from ..core.staging import publish, touch_heartbeat
 from ..exceptions import DatasetError, ReproError
-from ..market.countries import CountryProfile, build_profiles
-from ..market.survey import PlanSurvey
 from ..obs.ledger import RunLedger
 from .builder import build_world
 from .columns import COLUMNS_FORMAT_VERSION, UserColumns
 from .io import (
     config_payload,
     read_config_json,
-    read_survey_csv,
     read_users_npy,
     write_config_json,
     write_survey_csv,
@@ -78,8 +76,10 @@ CACHE_FORMAT_VERSION = 1
 #: ties it to its schema version, row count and byte size.
 _COLUMNS_FILE = "users.npy"
 _COLUMNS_META = "users.npy.json"
+#: The plan survey's canonical bytes; the manifest records their SHA-256.
+_SURVEY_FILE = "survey.csv"
 #: Entry files a ``build --out`` directory carries byte for byte.
-_ENTRY_FILES = (_COLUMNS_FILE, "survey.csv", "config.json")
+_ENTRY_FILES = (_COLUMNS_FILE, _SURVEY_FILE, "config.json")
 #: Present only in entries built with ``config.sanitize`` enabled.
 _REPORT_FILE = "sanitization.json"
 #: The build-stage run ledger (see :mod:`repro.obs`), serialized as the
@@ -128,34 +128,22 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro" / "worlds"
 
 
-@functools.lru_cache(maxsize=8)
-def _profiles(seed: int, include_synthetic: bool) -> tuple[CountryProfile, ...]:
-    """The country roster of a world seed, synthesized once."""
-    return tuple(
-        build_profiles(
-            np.random.default_rng([seed, 1]), include_synthetic=include_synthetic
-        )
-    )
-
-
 def _world_from_columns(
     config: WorldConfig,
     columns: UserColumns,
-    survey: PlanSurvey,
+    survey_csv: bytes,
     sanitization: SanitizationReport | None = None,
     ledger: RunLedger | None = None,
 ) -> World:
     """Reassemble a :class:`World` (no ground truth, no traces) from a
-    columnar shard.
+    columnar shard and the survey's bytes.
 
     Rows keep the builder's order (dasu first), so the datasets are
     byte-identical to the world that was stored.
     """
-    profiles = _profiles(config.seed, config.include_synthetic_countries)
     return World(
         config=config,
-        profiles={p.name: p for p in profiles},
-        survey=survey,
+        survey_csv=survey_csv,
         dasu=DasuDataset(columns=columns.select_users(columns.source_mask("dasu"))),
         fcc=FccDataset(columns=columns.select_users(columns.source_mask("fcc"))),
         ground_truth={},
@@ -165,15 +153,17 @@ def _world_from_columns(
     )
 
 
-def _read_shard(entry: Path) -> UserColumns:
-    """The entry's memory-mapped ``users.npy``, checked against its
-    manifest (schema version, byte size, row count).
+def _read_entry(entry: Path) -> tuple[UserColumns, bytes]:
+    """The entry's memory-mapped ``users.npy`` and its ``survey.csv``
+    bytes, both checked against the manifest: the shard's schema
+    version, byte size and row count, the survey's SHA-256.
 
     Raises :class:`DatasetError` (or ``OSError``/``ValueError`` for an
     unreadable manifest) on any disagreement, so a truncated, foreign or
-    swapped shard never serves rows. Entries stored beside a
-    ``users.csv`` carry no ``users_npy_bytes`` and fail here too; the
-    next store replaces them.
+    swapped shard never serves rows, and a damaged survey never serves
+    prices. Entries stored beside a ``users.csv`` carry no
+    ``users_npy_bytes``, and older ones no ``survey_sha256``; they fail
+    here too, and the next store replaces them.
     """
     shard = entry / _COLUMNS_FILE
     meta = json.loads((entry / _COLUMNS_META).read_text())
@@ -183,12 +173,16 @@ def _read_shard(entry: Path) -> UserColumns:
         or meta.get("users_npy_bytes") != shard.stat().st_size
     ):
         raise DatasetError(f"{shard}: does not match {_COLUMNS_META}")
+    survey = entry / _SURVEY_FILE
+    survey_csv = survey.read_bytes()
+    if hashlib.sha256(survey_csv).hexdigest() != meta.get("survey_sha256"):
+        raise DatasetError(f"{survey}: does not match {_COLUMNS_META}")
     columns = read_users_npy(shard)
     if columns.n_rows != meta.get("rows"):
         raise DatasetError(
             f"{shard}: row count does not match {_COLUMNS_META}"
         )
-    return columns
+    return columns, survey_csv
 
 
 class WorldCache:
@@ -218,8 +212,7 @@ class WorldCache:
             stored = read_config_json(entry / "config.json")
             if stored != config:
                 return None
-            columns = _read_shard(entry)
-            survey = read_survey_csv(entry / "survey.csv")
+            columns, survey_csv = _read_entry(entry)
             report = None
             if config.sanitize:
                 report = SanitizationReport.from_payload(
@@ -232,7 +225,7 @@ class WorldCache:
         except (ReproError, OSError, ValueError, KeyError, TypeError):
             # Unreadable, truncated, or schema-mismatched entry: a miss.
             return None
-        return _world_from_columns(config, columns, survey, report, ledger)
+        return _world_from_columns(config, columns, survey_csv, report, ledger)
 
     def fetch_into(
         self, config: WorldConfig, out_dir: str | Path
@@ -284,6 +277,9 @@ class WorldCache:
                     {
                         "columns_format": COLUMNS_FORMAT_VERSION,
                         "rows": n_rows,
+                        "survey_sha256": hashlib.sha256(
+                            world.survey_csv
+                        ).hexdigest(),
                         "users_npy_bytes": shard.stat().st_size,
                     },
                     indent=2,
@@ -291,7 +287,7 @@ class WorldCache:
                 )
             )
             touch_heartbeat(staging)
-            write_survey_csv(world.survey, staging / "survey.csv")
+            write_survey_csv(world.survey_csv, staging / _SURVEY_FILE)
             write_config_json(world.config, staging / "config.json")
             if world.sanitization is not None:
                 (staging / _REPORT_FILE).write_text(

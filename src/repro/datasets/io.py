@@ -48,12 +48,13 @@ from .world import WorldConfig
 __all__ = [
     "config_from_payload",
     "config_payload",
+    "decode_survey_csv",
     "load_dataset_dir",
     "read_config_json",
     "read_survey_csv",
     "read_users_csv",
     "read_users_npy",
-    "survey_csv_text",
+    "survey_csv_bytes",
     "write_config_json",
     "write_plans_csv",
     "write_survey_csv",
@@ -335,13 +336,15 @@ _SURVEY_FIELDS = [
 ]
 
 
-def survey_csv_text(survey: PlanSurvey) -> str:
-    """The survey's canonical CSV rendering as one string.
+def survey_csv_bytes(survey: PlanSurvey) -> bytes:
+    """The survey's canonical CSV rendering, UTF-8 encoded.
 
-    Countries iterate in the survey's sorted order, so the text is a
+    Countries iterate in the survey's sorted order, so the bytes are a
     deterministic function of the survey's value — a built survey and a
-    cache-loaded one render identically, which makes this the survey's
-    content address for fragment-level recompute keys.
+    cache-loaded one render identically, which makes them the survey's
+    content address: a cache entry checks its ``survey.csv`` against
+    their digest, and fragment-level recompute keys hash them. No field
+    holds a line break, so each plan is one line.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -364,66 +367,74 @@ def survey_csv_text(survey: PlanSurvey) -> str:
                     int(plan.dedicated),
                 ]
             )
-    return buffer.getvalue()
+    return buffer.getvalue().encode("utf-8")
 
 
-def write_survey_csv(survey: PlanSurvey, path: str | Path) -> int:
+def write_survey_csv(survey: PlanSurvey | bytes, path: str | Path) -> int:
     """Write the full survey (plans plus the economies needed to rebuild
     the markets); returns the number of plan rows.
 
-    Unlike :func:`write_plans_csv` (a flat export), this format
-    round-trips through :func:`read_survey_csv`.
+    ``survey`` is a decoded survey or its :func:`survey_csv_bytes` (a
+    world's ``survey_csv``), written as they are. Unlike
+    :func:`write_plans_csv` (a flat export), this format round-trips
+    through :func:`read_survey_csv`.
     """
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        handle.write(survey_csv_text(survey))
-    return sum(
-        len(survey.markets[country].plans) for country in survey.countries
-    )
+    data = survey if isinstance(survey, bytes) else survey_csv_bytes(survey)
+    Path(path).write_bytes(data)
+    return data.count(b"\n") - 1
 
 
 def read_survey_csv(path: str | Path) -> PlanSurvey:
     """Rebuild a :class:`PlanSurvey` written by :func:`write_survey_csv`."""
+    path = Path(path)
+    return decode_survey_csv(path.read_bytes(), path)
+
+
+def decode_survey_csv(data: bytes, path: str | Path) -> PlanSurvey:
+    """Rebuild a :class:`PlanSurvey` from :func:`survey_csv_bytes`;
+    errors name ``path``, the file the bytes came from."""
     from ..market.currency import Currency
     from ..market.economy import DevelopmentLevel, Economy, Region
     from ..market.market import CountryMarket
     from ..market.plans import BroadbandPlan, PlanTechnology
 
-    path = Path(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or set(reader.fieldnames) != set(
+        _SURVEY_FIELDS
+    ):
+        raise DatasetError(f"{path}: unexpected survey columns")
     grouped: dict[str, dict] = {}
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) != set(
-            _SURVEY_FIELDS
-        ):
-            raise DatasetError(f"{path}: unexpected survey columns")
-        for line, row in enumerate(reader, start=2):
-            try:
-                currency = Currency(
-                    code=row["currency_code"],
-                    units_per_usd=_field(row, "units_per_usd", float),
-                    ppp_market_ratio=_field(row, "ppp_market_ratio", float),
-                )
-                plan = BroadbandPlan(
-                    country=row["country"],
-                    isp=row["isp"],
-                    name=row["name"],
-                    download_mbps=_field(row, "download_mbps", float),
-                    upload_mbps=_field(row, "upload_mbps", float),
-                    monthly_price_local=_field(
-                        row, "monthly_price_local", float
-                    ),
-                    currency=currency,
-                    technology=_field(row, "technology", PlanTechnology),
-                    data_cap_gb=_field(row, "data_cap_gb", _optional),
-                    dedicated=bool(_field(row, "dedicated", int)),
-                )
-            except (ValueError, TypeError, KeyError, DatasetError) as exc:
-                raise DatasetError(f"{path}:{line}: {exc}") from None
-            entry = grouped.setdefault(
-                row["country"], {"row": row, "plans": []}
+    for line, row in enumerate(reader, start=2):
+        try:
+            currency = Currency(
+                code=row["currency_code"],
+                units_per_usd=_field(row, "units_per_usd", float),
+                ppp_market_ratio=_field(row, "ppp_market_ratio", float),
             )
-            entry["plans"].append(plan)
+            plan = BroadbandPlan(
+                country=row["country"],
+                isp=row["isp"],
+                name=row["name"],
+                download_mbps=_field(row, "download_mbps", float),
+                upload_mbps=_field(row, "upload_mbps", float),
+                monthly_price_local=_field(
+                    row, "monthly_price_local", float
+                ),
+                currency=currency,
+                technology=_field(row, "technology", PlanTechnology),
+                data_cap_gb=_field(row, "data_cap_gb", _optional),
+                dedicated=bool(_field(row, "dedicated", int)),
+            )
+        except (ValueError, TypeError, KeyError, DatasetError) as exc:
+            raise DatasetError(f"{path}:{line}: {exc}") from None
+        entry = grouped.setdefault(
+            row["country"], {"row": row, "plans": []}
+        )
+        entry["plans"].append(plan)
     markets = {}
     for country, entry in grouped.items():
         row = entry["row"]

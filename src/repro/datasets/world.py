@@ -12,12 +12,12 @@ manufacture effects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..behavior.population import LatentUser
 from ..exceptions import DatasetError
 from ..faults.config import FaultConfig
-from ..market.countries import CountryProfile
 from ..market.survey import PlanSurvey
 from ..obs.ledger import RunLedger
 from .sanitize import SanitizationReport
@@ -134,12 +134,14 @@ class World:
 
     Equality compares the datasets by their column rows, byte for byte,
     so two loads of one cache entry compare equal even though their
-    hourly profiles hold NaN.
+    hourly profiles hold NaN, and the survey by its canonical bytes.
     """
 
     config: WorldConfig
-    profiles: Mapping[str, CountryProfile]
-    survey: PlanSurvey
+    #: The plan survey's canonical CSV bytes
+    #: (:func:`~repro.datasets.io.survey_csv_bytes`): what a cache entry
+    #: stores and what the survey slice's digest hashes.
+    survey_csv: bytes = field(repr=False)
     dasu: DasuDataset
     fcc: FccDataset
     ground_truth: Mapping[str, LatentUser] = field(repr=False)
@@ -156,6 +158,26 @@ class World:
     #: build_world`, ``None`` for worlds assembled by hand or loaded
     #: from pre-ledger cache entries.
     ledger: RunLedger | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def with_survey(cls, survey: PlanSurvey, **fields: Any) -> "World":
+        """A world around an already decoded survey: its bytes are
+        rendered here, once, and ``world.survey`` returns ``survey``
+        itself rather than decoding them again."""
+        from .io import survey_csv_bytes
+
+        world = cls(survey_csv=survey_csv_bytes(survey), **fields)
+        world.__dict__["survey"] = survey  # the cached_property's slot
+        return world
+
+    @cached_property
+    def survey(self) -> PlanSurvey:
+        """The plan survey, decoded from :attr:`survey_csv` on first
+        read. A cache hit validates the bytes against the entry's
+        digest; only Sec. 6's analyses read the decoded survey."""
+        from .io import decode_survey_csv
+
+        return decode_survey_csv(self.survey_csv, "survey.csv")
 
     @property
     def all_columns(self) -> "UserColumns":

@@ -210,6 +210,42 @@ class TestDeltaLog:
             )
         assert log.replay() == [DELTA]
 
+    @pytest.mark.parametrize("damage", ["keyless", "wrong-key"])
+    def test_damaged_extended_key_neither_stops_nor_misroutes(
+        self, tmp_path, damage
+    ):
+        """Replay derives each extended key from the delta it applies: a
+        copy of a valid record whose ``extended_key`` is missing or wrong
+        changes neither the chain nor what a service serves."""
+        from repro.service import ReportService
+
+        cache = WorldCache(tmp_path / "cache")
+        log = DeltaLog(BASE, cache=cache)
+        second = AppendDelta(n_fcc_users=4)
+        append_world(BASE, DELTA, cache=cache, log=log)
+        append_world(DELTA.apply(BASE), second, cache=cache, log=log)
+        state = tmp_path / "state"
+        before = ReportService(BASE, state_dir=state, cache=cache).refresh()
+        record = json.loads(
+            (
+                log.root
+                / f"{log.record_key(log.base_key, log.base_key, DELTA)}.json"
+            ).read_text()
+        )
+        if damage == "keyless":
+            del record["extended_key"]
+        else:
+            record["extended_key"] = "0" * 64
+        # "-" sorts before every hex record name, so at the fork between
+        # the two copies replay meets the damaged one first.
+        (log.root / f"-{damage}.json").write_text(json.dumps(record))
+        assert log.replay() == [DELTA, second]
+        after = ReportService(BASE, state_dir=state, cache=cache).refresh()
+        assert after.config == second.apply(DELTA.apply(BASE))
+        assert (after.etag, after.report_text, after.iqb_json) == (
+            before.etag, before.report_text, before.iqb_json,
+        )
+
     def test_append_world_records_to_log(self, tmp_path):
         cache = WorldCache(tmp_path / "cache")
         log = DeltaLog(BASE, cache=cache)

@@ -76,6 +76,21 @@ class TestRunSweep:
             assert ledger.counters.get(f"sweep.verdicts.{key}.rows", 0) == rows
             assert ledger.counters.get(f"sweep.skipped.{key}", 0) == skips
 
+    def test_warm_rerun_never_decodes_the_survey(self, small_sweep, monkeypatch):
+        # No sweep experiment reads the plan survey, so a warm cell only
+        # checks survey.csv against its digest.
+        from repro.datasets import io as io_module
+
+        def refuse(data, path):
+            raise AssertionError(f"decoded {path}")
+
+        monkeypatch.setattr(io_module, "decode_survey_csv", refuse)
+        rerun = run_sweep(
+            SMALL_SWEEP_BASE, small_sweep_grid(), SMALL_SWEEP_SEEDS, jobs=1
+        )
+        assert rerun == small_sweep
+        assert rerun.n_cache_hits == len(rerun.cells)
+
     def test_too_small_world_skips_experiment_instead_of_failing(self, tmp_path):
         base = dataclasses.replace(SMALL_SWEEP_BASE, n_dasu_users=30)
         ledger = RunLedger()

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.cli import main
 from repro.datasets import WorldConfig, build_world
 from repro.datasets import cache as cache_module
+from repro.datasets import io as io_module
 from repro.datasets.cache import WorldCache, build_or_load_world, cache_key
-from repro.datasets.io import write_users_csv
+from repro.datasets.io import (
+    decode_survey_csv,
+    survey_csv_bytes,
+    write_users_csv,
+)
 from repro.faults import fault_profile
 from tests.analysis.record_model import to_records
 
@@ -181,16 +188,15 @@ class TestWorldCache:
 
 
 class TestRosterMemo:
-    """Loads build a seed's country roster once; ``survey.csv`` is still
-    read and decoded on every load."""
+    """Loads of one seed's entries carry equal surveys, each its own
+    object; ``survey.csv`` is still read and checked against the
+    manifest's digest on every load."""
 
     def test_same_seed_entries_share_one_roster(self, cache):
         other = dataclasses.replace(TINY, n_fcc_users=9)
         assert cache.store(build_world(TINY)) != cache.store(build_world(other))
         a, b = cache.load(TINY), cache.load(other)
         assert a.survey == b.survey and a.survey is not b.survey
-        assert a.profiles == b.profiles and a.profiles is not b.profiles
-        assert all(a.profiles[name] is b.profiles[name] for name in a.profiles)
 
     def test_truncated_survey_after_a_warm_load_is_a_miss(self, cache):
         entry = cache.store(build_world(TINY))
@@ -203,6 +209,87 @@ class TestRosterMemo:
         assert cache.load(TINY) is None
         (entry / "survey.csv").write_bytes(raw)
         assert cache.load(TINY) is not None
+
+
+class TestSurveyOnFirstRead:
+    """A hit checks ``survey.csv`` against the SHA-256 in the manifest
+    and decodes it only when ``world.survey`` is first read."""
+
+    @staticmethod
+    def _refuse_decode(monkeypatch):
+        def refuse(data, path):
+            raise AssertionError(f"decoded {path}")
+
+        monkeypatch.setattr(io_module, "decode_survey_csv", refuse)
+
+    def test_hit_does_not_decode_the_survey(self, cache, tmp_path, monkeypatch):
+        world = build_world(TINY, ground_truth=False)
+        entry = cache.store(world)
+        meta = json.loads((entry / "users.npy.json").read_text())
+        assert meta["survey_sha256"] == hashlib.sha256(
+            (entry / "survey.csv").read_bytes()
+        ).hexdigest()
+        self._refuse_decode(monkeypatch)
+        loaded = cache.load(TINY)
+        assert loaded == world
+        assert loaded.survey_csv == (entry / "survey.csv").read_bytes()
+        assert cache.fetch_into(TINY, tmp_path / "out") is not None
+        with pytest.raises(AssertionError, match="decoded survey.csv"):
+            loaded.survey
+
+    def test_built_world_carries_its_decoded_survey(self, monkeypatch):
+        self._refuse_decode(monkeypatch)
+        world = build_world(TINY)
+        assert world.survey is world.survey
+        assert world.survey_csv == survey_csv_bytes(world.survey)
+
+    def test_same_length_damage_is_a_miss(self, cache):
+        entry = cache.store(build_world(TINY))
+        raw = (entry / "survey.csv").read_bytes()
+        lines = raw.split(b"\r\n")
+        price = lines[0].split(b",").index(b"monthly_price_local")
+        fields = lines[1].split(b",")
+        old = fields[price]
+        fields[price] = (b"8" if old.startswith(b"9") else b"9") + old[1:]
+        lines[1] = b",".join(fields)
+        damaged = b"\r\n".join(lines)
+        assert len(damaged) == len(raw) and damaged != raw
+        # The damage parses, into a survey with a wrong price: only the
+        # digest can tell.
+        assert decode_survey_csv(damaged, "survey.csv") != decode_survey_csv(
+            raw, "survey.csv"
+        )
+        (entry / "survey.csv").write_bytes(damaged)
+        assert cache.load(TINY) is None
+        (entry / "survey.csv").write_bytes(raw)
+        assert cache.load(TINY) is not None
+
+    def test_manifest_without_digest_is_a_miss_then_replaced(self, cache):
+        world = build_world(TINY, ground_truth=False)
+        entry = cache.store(world)
+        meta = json.loads((entry / "users.npy.json").read_text())
+        del meta["survey_sha256"]
+        (entry / "users.npy.json").write_text(json.dumps(meta))
+        assert cache.load(TINY) is None
+        _, from_cache = build_or_load_world(TINY, cache=cache)
+        assert not from_cache
+        assert "survey_sha256" in json.loads(
+            (entry / "users.npy.json").read_text()
+        )
+        assert cache.load(TINY) == world
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["lazy", "decoded"])
+    def test_loaded_world_pickles_with_its_survey(self, cache, decoded):
+        world = build_world(TINY)
+        cache.store(world)
+        loaded = cache.load(TINY)
+        if decoded:
+            assert loaded.survey is loaded.survey
+        clone = pickle.loads(pickle.dumps(loaded))
+        assert clone == loaded
+        assert clone.survey == world.survey
+        assert clone.survey is clone.survey
+        assert loaded.survey is loaded.survey
 
 
 class TestBuildOrLoad:
