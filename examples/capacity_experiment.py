@@ -13,7 +13,7 @@ Run:  python examples/capacity_experiment.py
 from repro import WorldConfig, build_world
 from repro.analysis.common import demand_outcome, matched_experiment
 from repro.analysis.report import format_experiment_row
-from repro.core.experiments import NaturalExperiment, PairedOutcome
+from repro.core.experiments import NaturalExperiment
 
 
 def custom_matched_experiment(users) -> None:
@@ -35,15 +35,16 @@ def custom_matched_experiment(users) -> None:
 
 
 def hand_rolled_sign_test() -> None:
-    """The statistical core, usable on any paired data you have."""
+    """The statistical core, usable on any paired data you have: pair
+    ``i`` is ``(control[i], treatment[i])``."""
     experiment = NaturalExperiment(
         "my own study",
         hypothesis="treatment beats control",
         practical_margin=0.02,
     )
-    outcomes = [PairedOutcome(control_value=1.0, treatment_value=1.5)] * 70
-    outcomes += [PairedOutcome(control_value=1.5, treatment_value=1.0)] * 30
-    result = experiment.evaluate(outcomes)
+    control = [1.0] * 70 + [1.5] * 30
+    treatment = [1.5] * 70 + [1.0] * 30
+    result = experiment.evaluate(control, treatment)
     print("Hand-rolled sign test over 100 synthetic pairs:")
     print(f"  H holds {100 * result.fraction_holds:.0f}% "
           f"(p = {result.p_value:.2e}); "

@@ -32,7 +32,6 @@ from .core import (
     DemandSummary,
     ExperimentResult,
     NaturalExperiment,
-    PairedOutcome,
     binomial_test_greater,
     capacity_class,
     demand_summary,
@@ -47,7 +46,6 @@ __all__ = [
     "DemandSummary",
     "ExperimentResult",
     "NaturalExperiment",
-    "PairedOutcome",
     "ReproError",
     "World",
     "WorldConfig",

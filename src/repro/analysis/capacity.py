@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.binning import UPGRADE_TIERS_MBPS, Bin, capacity_class_spec, explicit_bins
-from ..core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
+from ..core.experiments import ExperimentResult, NaturalExperiment
 from ..core.stats import ConfidenceInterval, ecdf, mean_confidence_interval, percentile
 from ..core.upgrades import UpgradeObservation, slow_fast_stays
 from ..datasets.columns import UserColumns
@@ -217,23 +217,24 @@ def table1(users: UserColumns, include_bt: bool = False) -> Table1Result:
     if not observations:
         raise AnalysisError("no users observed on two networks")
 
-    def outcome_pair(obs: UpgradeObservation, metric: str) -> PairedOutcome:
-        if metric == "mean":
-            if include_bt:
-                return PairedOutcome(obs.slow.mean_mbps, obs.fast.mean_mbps)
-            return PairedOutcome(obs.slow.mean_no_bt_mbps, obs.fast.mean_no_bt_mbps)
-        if include_bt:
-            return PairedOutcome(obs.slow.peak_mbps, obs.fast.peak_mbps)
-        return PairedOutcome(obs.slow.peak_no_bt_mbps, obs.fast.peak_no_bt_mbps)
+    suffix = "" if include_bt else "_no_bt"
+
+    def outcomes(metric: str) -> tuple[list[float], list[float]]:
+        """(slow-network, fast-network) values of one demand metric."""
+        column = f"{metric}{suffix}_mbps"
+        return (
+            [getattr(o.slow, column) for o in observations],
+            [getattr(o.fast, column) for o in observations],
+        )
 
     average = NaturalExperiment(
         "upgrade: average usage",
         hypothesis="moving to a faster service increases average demand",
-    ).evaluate(outcome_pair(o, "mean") for o in observations)
+    ).evaluate(*outcomes("mean"))
     peak = NaturalExperiment(
         "upgrade: peak usage",
         hypothesis="moving to a faster service increases peak demand",
-    ).evaluate(outcome_pair(o, "peak") for o in observations)
+    ).evaluate(*outcomes("peak"))
     return Table1Result(average=average, peak=peak, n_observations=len(observations))
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.binning import Bin, BinSpec, capacity_class_spec
-from ..core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
+from ..core.experiments import ExperimentResult, NaturalExperiment
 from ..core.matching import (
     DEFAULT_CALIPER,
     LOSS_MATCH_FLOOR,
@@ -150,11 +150,8 @@ def matched_experiment(
     )
     experiment = NaturalExperiment(name=name, hypothesis=hypothesis)
     result = experiment.evaluate(
-        PairedOutcome(
-            float(control_outcome[control_idx[pair.control]]),
-            float(treatment_outcome[treatment_idx[pair.treatment]]),
-        )
-        for pair in matching.pairs
+        control_outcome[control_idx[matching.control]],
+        treatment_outcome[treatment_idx[matching.treatment]],
     )
     # Run-ledger accounting (no-op outside a traced run): eligibility
     # attrition, matched pairs, and the paper's overall verdict tally.

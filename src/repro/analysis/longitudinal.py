@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.binning import BinSpec, capacity_class_spec
-from ..core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
+from ..core.experiments import ExperimentResult, NaturalExperiment
 from ..core.matching import LOSS_MATCH_FLOOR, match_pairs_arrays
 from ..core.stats import mean_confidence_interval
 from ..datasets.columns import UserColumns
@@ -137,9 +137,13 @@ def figure6(
     """Fig. 6: demand vs capacity per year, plus the no-change experiment.
 
     The cross-year experiment matches first-year observations with
-    last-year observations of *different* users on capacity, latency and
-    loss, and tests whether later-year demand is higher. The paper found
-    no significant change; the result's ``rejects_null`` should be False.
+    last-year observations on capacity, latency and loss, and tests
+    whether later-year demand is higher. Each pool holds one observation
+    per user seen that year, and a user seen in both years is in both
+    pools, so a pair can be one user's own first- and last-year
+    observations: the matcher does not tell them apart from pairs of
+    two different users. The paper found no significant change; the
+    result's ``rejects_null`` should be False.
     """
     if len(years) < 2:
         raise AnalysisError("a longitudinal analysis needs at least two years")
@@ -172,34 +176,27 @@ def figure6(
         confounders(first), confounders(last), caliper=caliper
     )
     # Each pair as (control row, treatment row).
-    pairs = [
-        (int(per_year[first][pair.control]), int(per_year[last][pair.treatment]))
-        for pair in matching.pairs
-    ]
-    demand_values = rows[demand].tolist()
-
-    def outcome(pair: tuple[int, int]) -> PairedOutcome:
-        control, treatment = pair
-        return PairedOutcome(demand_values[control], demand_values[treatment])
+    control_rows = per_year[first][matching.control]
+    treatment_rows = per_year[last][matching.treatment]
+    control_demand = rows[demand][control_rows]
+    treatment_demand = rows[demand][treatment_rows]
 
     pooled = NaturalExperiment(
         name=f"{first} vs {last} demand at fixed capacity",
         hypothesis="demand at a fixed capacity class grows over time",
-    ).evaluate(outcome(pair) for pair in pairs)
+    ).evaluate(control_demand, treatment_demand)
 
     # The paper's per-tier version: one experiment per capacity class.
     per_class: list[tuple[object, ExperimentResult]] = []
-    pair_classes = spec.index_of_array(
-        rows["capacity_mbps"][[control for control, _ in pairs]]
-    ).tolist()
+    pair_classes = spec.index_of_array(rows["capacity_mbps"][control_rows])
     for i, bin_ in enumerate(spec):
-        class_pairs = [p for p, k in zip(pairs, pair_classes) if k == i]
-        if len(class_pairs) < min_users:
+        in_class = pair_classes == i
+        if np.count_nonzero(in_class) < min_users:
             continue
         result = NaturalExperiment(
             name=f"{first} vs {last} in {bin_.label()}",
             hypothesis="demand in this class grows over time",
-        ).evaluate(outcome(pair) for pair in class_pairs)
+        ).evaluate(control_demand[in_class], treatment_demand[in_class])
         per_class.append((bin_, result))
 
     return Figure6Result(

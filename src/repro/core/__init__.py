@@ -9,9 +9,11 @@ This package implements the statistical machinery of Bischof et al. (IMC'14):
 * :mod:`repro.core.metrics` — mean and peak (95th-percentile) demand and
   link-utilization summaries;
 * :mod:`repro.core.matching` — nearest-neighbor matching with a relative
-  caliper, used to pair "similar" users across treatment groups;
+  caliper, used to pair "similar" users across treatment groups; the
+  pairs come back as index arrays into the two pools;
 * :mod:`repro.core.experiments` — the natural-experiment study design
-  (hypothesis, %-holds, p-value, practical-significance margin);
+  (hypothesis, %-holds, p-value, practical-significance margin), a sign
+  test over two parallel outcome arrays;
 * :mod:`repro.core.upgrades` — detection of per-user service switches and
   before/after demand deltas;
 * :mod:`repro.core.regression` — per-market price~capacity regression used
@@ -32,8 +34,8 @@ from .binning import (
     geometric_bins,
 )
 from .executor import resolve_jobs, run_sharded
-from .experiments import ExperimentResult, NaturalExperiment, PairedOutcome
-from .matching import MatchedPair, MatchingSummary, caliper_compatible, match_pairs
+from .experiments import ExperimentResult, NaturalExperiment
+from .matching import MatchingSummary, match_pairs
 from .metrics import DemandSummary, demand_summary, peak_demand, utilization
 from .qed import QedResult, QuasiExperiment
 from .regression import MarketRegression, fit_price_capacity
@@ -60,16 +62,13 @@ __all__ = [
     "DemandSummary",
     "ExperimentResult",
     "MarketRegression",
-    "MatchedPair",
     "MatchingSummary",
     "NaturalExperiment",
-    "PairedOutcome",
     "QedResult",
     "QuasiExperiment",
     "ServiceSwitch",
     "UpgradeObservation",
     "binomial_test_greater",
-    "caliper_compatible",
     "capacity_class",
     "capacity_class_bounds",
     "capacity_class_spec",

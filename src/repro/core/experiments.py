@@ -4,7 +4,9 @@ A *natural experiment* here is a sign test over matched pairs: each pair
 contributes one Bernoulli observation — whether the "treated" unit's outcome
 exceeds the "control" unit's outcome. If neither variable affects the other,
 treated beats control about 50% of the time; significant deviations suggest
-a causal relationship.
+a causal relationship. The pairs arrive as two parallel outcome arrays
+(control and treatment, one entry per pair), so the holds and the ties
+are one vectorized comparison each.
 
 Two safeguards from the paper are built in:
 
@@ -18,7 +20,9 @@ Two safeguards from the paper are built in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from ..exceptions import ExperimentError
 from .stats import BinomialTestResult, binomial_test_greater
@@ -28,28 +32,10 @@ __all__ = [
     "DEFAULT_PRACTICAL_MARGIN",
     "ExperimentResult",
     "NaturalExperiment",
-    "PairedOutcome",
 ]
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_PRACTICAL_MARGIN = 0.02
-
-
-@dataclass(frozen=True)
-class PairedOutcome:
-    """Outcome values of one matched (control, treatment) pair."""
-
-    control_value: float
-    treatment_value: float
-
-    @property
-    def hypothesis_holds(self) -> bool:
-        """True when the treated unit's outcome strictly exceeds control's."""
-        return self.treatment_value > self.control_value
-
-    @property
-    def is_tie(self) -> bool:
-        return self.treatment_value == self.control_value
 
 
 @dataclass(frozen=True)
@@ -126,7 +112,7 @@ class NaturalExperiment:
             )
         if not 0.0 < alpha < 1.0:
             raise ExperimentError(f"alpha must be in (0, 1), got {alpha}")
-        if practical_margin < 0.0 or practical_margin >= 0.5:
+        if not 0.0 <= practical_margin < 0.5:
             raise ExperimentError(
                 f"practical margin must be in [0, 0.5), got {practical_margin}"
             )
@@ -136,22 +122,29 @@ class NaturalExperiment:
         self.alpha = alpha
         self.practical_margin = practical_margin
 
-    def evaluate(self, outcomes: Iterable[PairedOutcome]) -> ExperimentResult:
-        """Run the sign test over the given paired outcomes.
+    def evaluate(
+        self,
+        control_values: Sequence[float] | np.ndarray,
+        treatment_values: Sequence[float] | np.ndarray,
+    ) -> ExperimentResult:
+        """Run the sign test over paired outcomes: pair ``i`` is
+        ``(control_values[i], treatment_values[i])``.
 
-        Exact ties carry no information about the direction of the effect
-        and are dropped before testing (the standard sign-test convention).
+        H holds for a pair when the treated outcome strictly exceeds
+        control's. Exact ties carry no information about the direction
+        of the effect and are dropped before testing (the standard
+        sign-test convention); a pair with a NaN outcome is neither, so
+        it counts against H.
         """
-        n_holds = 0
-        n_ties = 0
-        n_total = 0
-        for outcome in outcomes:
-            n_total += 1
-            if outcome.is_tie:
-                n_ties += 1
-            elif outcome.hypothesis_holds:
-                n_holds += 1
-        n_pairs = n_total - n_ties
+        control = np.asarray(control_values, dtype=float)
+        treatment = np.asarray(treatment_values, dtype=float)
+        if control.ndim != 1 or control.shape != treatment.shape:
+            raise ExperimentError(
+                "control and treatment values must be 1-D and of equal length"
+            )
+        n_holds = int(np.count_nonzero(treatment > control))
+        n_ties = int(np.count_nonzero(treatment == control))
+        n_pairs = control.size - n_ties
         test: BinomialTestResult = binomial_test_greater(
             n_holds, n_pairs, self.null_probability
         )
@@ -163,19 +156,4 @@ class NaturalExperiment:
             p_value=test.p_value,
             alpha=self.alpha,
             practical_margin=self.practical_margin,
-        )
-
-    def evaluate_values(
-        self,
-        control_values: Sequence[float],
-        treatment_values: Sequence[float],
-    ) -> ExperimentResult:
-        """Convenience wrapper taking parallel control/treatment sequences."""
-        if len(control_values) != len(treatment_values):
-            raise ExperimentError(
-                "control and treatment sequences must have equal length"
-            )
-        return self.evaluate(
-            PairedOutcome(c, t)
-            for c, t in zip(control_values, treatment_values)
         )

@@ -10,6 +10,9 @@ scale-free distance (the sum of absolute log-ratios over the confounders)
 and accepted in order, skipping candidates whose endpoints were already
 matched. Global greediness avoids the order-dependence of per-unit greedy
 matching and makes results reproducible.
+The accepted pairs come back as index arrays into the two pools
+(:class:`MatchingSummary`), which callers use to index their own
+outcome and covariate columns.
 
 Candidates are enumerated by a sorted band join rather than a dense
 cross product. The treatment pool is sorted on its most selective
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,16 +45,11 @@ from ..obs import ledger as obs
 __all__ = [
     "DEFAULT_CALIPER",
     "LOSS_MATCH_FLOOR",
-    "MatchedPair",
     "MatchingSummary",
     "ZERO_FLOOR",
-    "caliper_compatible",
     "match_pairs",
     "match_pairs_arrays",
 ]
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 #: The paper's caliper: members of a pair must be within 25% of each other.
 DEFAULT_CALIPER = 0.25
@@ -79,36 +77,6 @@ assert LOSS_MATCH_FLOOR >= ZERO_FLOOR, (
 CANDIDATE_CELL_BUDGET = 4_000_000
 
 
-def caliper_compatible(a: float, b: float, caliper: float = DEFAULT_CALIPER) -> bool:
-    """Whether two confounder values are within ``caliper`` of each other.
-
-    "Within 25% of each other" is interpreted multiplicatively and
-    symmetrically: ``max(a, b) <= (1 + caliper) * min(a, b)``, after flooring
-    both values at :data:`ZERO_FLOOR` so that pairs of effectively-zero
-    values (e.g. two loss-free lines) are compatible.
-
-    Non-finite confounders are rejected with :class:`MatchingError`
-    rather than silently falling through the comparisons: a NaN here
-    means an upstream eligibility filter failed (missing market
-    covariates surface as NaN — see
-    :func:`repro.analysis.common.eligibility_mask` — and must be excluded
-    *before* matching), and an infinity is equally meaningless — two
-    ``inf`` values would satisfy ``inf <= 1.25 * inf`` and "match"
-    despite carrying no information about similarity.
-    """
-    _check_limits(caliper, None)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise MatchingError(
-            f"confounders must be finite, got {a}, {b} "
-            "(exclude users with missing covariates before matching)"
-        )
-    if a < 0 or b < 0:
-        raise MatchingError(f"confounders must be non-negative, got {a}, {b}")
-    lo = max(min(a, b), ZERO_FLOOR)
-    hi = max(max(a, b), ZERO_FLOOR)
-    return hi <= (1.0 + caliper) * lo
-
-
 def _check_limits(caliper: float, max_pairs: int | None) -> None:
     """Reject a caliper that is not finite and positive, and a
     ``max_pairs`` that is not ``None`` or a non-negative int."""
@@ -130,27 +98,25 @@ def _check_limits(caliper: float, max_pairs: int | None) -> None:
         )
 
 
-@dataclass(frozen=True)
-class MatchedPair(Generic[T, U]):
-    """A matched (control, treatment) pair and its confounder distance."""
+@dataclass(frozen=True, eq=False)
+class MatchingSummary:
+    """The result of a matching run.
 
-    control: T
-    treatment: U
-    distance: float
+    The accepted pairs are three parallel arrays in acceptance order:
+    ``control`` and ``treatment`` (``intp``) index the two pools, and
+    ``distance`` (``float64``) is each pair's sum of absolute log-ratios.
+    """
 
-
-@dataclass(frozen=True)
-class MatchingSummary(Generic[T, U]):
-    """The result of a matching run."""
-
-    pairs: tuple[MatchedPair[T, U], ...]
+    control: np.ndarray
+    treatment: np.ndarray
+    distance: np.ndarray
     n_control: int
     n_treatment: int
     caliper: float
 
     @property
     def n_matched(self) -> int:
-        return len(self.pairs)
+        return int(self.control.size)
 
     @property
     def match_rate(self) -> float:
@@ -161,97 +127,43 @@ class MatchingSummary(Generic[T, U]):
         return self.n_matched / smaller
 
 
-def _confounder_matrix(
-    units: Sequence[T],
-    confounders: Sequence[Callable[[T], float]],
-) -> np.ndarray:
-    """Log-space confounder matrix, one row per unit.
-
-    Extraction is necessarily one Python call per (unit, confounder),
-    but validation and the log transform run vectorized per column.
-    """
-    columns = []
-    for extract in confounders:
-        values = np.fromiter(
-            (float(extract(unit)) for unit in units),
-            dtype=float,
-            count=len(units),
-        )
-        columns.append(_log_confounder_column(values, repr(extract)))
-    return np.column_stack(columns).reshape(len(units), len(confounders))
-
-
-def _log_confounder_column(values: np.ndarray, label: str) -> np.ndarray:
-    """Validate one confounder column (finite, non-negative) and take it
-    to log space; shared by both matching entry points."""
-    invalid = ~np.isfinite(values) | (values < 0)
-    if invalid.any():
-        value = float(values[int(np.argmax(invalid))])
-        raise MatchingError(
-            f"confounder {label} produced invalid value {value!r}"
-        )
-    return np.log(np.maximum(values, ZERO_FLOOR))
+def _log_matrix(arrays: Sequence[np.ndarray], pool: str) -> np.ndarray:
+    """One pool's confounder columns, validated (1-D, one length,
+    finite, non-negative) and taken to log space: one row per unit."""
+    columns: list[np.ndarray] = []
+    for i, values in enumerate(arrays):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise MatchingError(f"{pool} confounder column {i} must be 1-D")
+        if columns and values.size != columns[0].size:
+            raise MatchingError(
+                f"{pool} confounder columns disagree on pool size"
+            )
+        invalid = ~np.isfinite(values) | (values < 0)
+        if invalid.any():
+            value = float(values[int(np.argmax(invalid))])
+            raise MatchingError(
+                f"confounder column {i} ({pool}) produced invalid value "
+                f"{value!r}"
+            )
+        columns.append(np.log(np.maximum(values, ZERO_FLOOR)))
+    return np.column_stack(columns)
 
 
 def match_pairs(
-    control: Sequence[T],
-    treatment: Sequence[U],
+    control: Sequence,
+    treatment: Sequence,
     confounders: Sequence[Callable],
     caliper: float = DEFAULT_CALIPER,
     max_pairs: int | None = None,
-) -> MatchingSummary[T, U]:
-    """Match control and treatment units on shared confounders.
-
-    Parameters
-    ----------
-    control, treatment:
-        The two unit pools; elements are arbitrary objects.
-    confounders:
-        Callables extracting one non-negative float per unit (applied to
-        units of both pools). Every confounder must pass the caliper check
-        for a pair to be eligible.
-    caliper:
-        Maximum relative difference per confounder (default 25%).
-    max_pairs:
-        Optional cap on the number of accepted pairs (cheapest-distance
-        pairs are kept).
-    """
-    _check_limits(caliper, max_pairs)
-    if not confounders:
-        raise MatchingError("at least one confounder is required")
-
-    def _accounted(summary: MatchingSummary, n_candidates: int) -> MatchingSummary:
-        # Run-ledger accounting (no-op outside a traced run): pool
-        # sizes, caliper-compatible candidates, and accepted pairs.
-        obs.count("matching.runs")
-        obs.count("matching.pool.control", summary.n_control)
-        obs.count("matching.pool.treatment", summary.n_treatment)
-        obs.count("matching.candidates", n_candidates)
-        obs.count("matching.pairs", summary.n_matched)
-        return summary
-
-    summary_empty = MatchingSummary(
-        pairs=(), n_control=len(control), n_treatment=len(treatment), caliper=caliper
-    )
-    if not control or not treatment:
-        return _accounted(summary_empty, 0)
-
-    log_c = _confounder_matrix(control, confounders)
-    log_t = _confounder_matrix(treatment, confounders)
-    accepted, n_candidates = _greedy_index_pairs(
-        log_c, log_t, caliper, max_pairs
-    )
-    return _accounted(
-        MatchingSummary(
-            pairs=tuple(
-                MatchedPair(control[c], treatment[t], dist)
-                for c, t, dist in accepted
-            ),
-            n_control=len(control),
-            n_treatment=len(treatment),
-            caliper=caliper,
-        ),
-        n_candidates,
+) -> MatchingSummary:
+    """:func:`match_pairs_arrays` on unit objects: each extractor in
+    ``confounders`` is read into one column per pool."""
+    return match_pairs_arrays(
+        [np.array([f(u) for u in control], dtype=float) for f in confounders],
+        [np.array([f(u) for u in treatment], dtype=float) for f in confounders],
+        caliper=caliper,
+        max_pairs=max_pairs,
     )
 
 
@@ -260,17 +172,13 @@ def match_pairs_arrays(
     treatment_confounders: Sequence[np.ndarray],
     caliper: float = DEFAULT_CALIPER,
     max_pairs: int | None = None,
-) -> MatchingSummary[int, int]:
-    """Match two pools given as confounder columns: the analyses' entry
-    point.
+) -> MatchingSummary:
+    """Match two pools on shared confounders: the analyses' entry point.
 
-    Each sequence holds one 1-D float array per confounder (all the same
-    length within a pool); the returned pairs carry *indices* into the
-    pools. :func:`match_pairs` is the same matcher over unit objects and
-    extractor callables: given the same values in the same order, both
-    accept the same (control, treatment) pairs with the same run-ledger
-    accounting, because both run the same validated log-space greedy
-    core.
+    Each sequence holds one 1-D array of non-negative floats per
+    confounder (all the same length within a pool), and a pair must
+    pass the ``caliper`` on every one. ``max_pairs`` optionally caps the
+    accepted pairs (the cheapest are kept).
     """
     _check_limits(caliper, max_pairs)
     if not control_confounders or not treatment_confounders:
@@ -279,61 +187,27 @@ def match_pairs_arrays(
         raise MatchingError(
             "control and treatment must share the same confounder set"
         )
-
-    def _matrix(arrays: Sequence[np.ndarray], pool: str) -> np.ndarray:
-        columns = []
-        n_units = None
-        for i, values in enumerate(arrays):
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 1:
-                raise MatchingError(
-                    f"{pool} confounder column {i} must be 1-D"
-                )
-            if n_units is None:
-                n_units = values.size
-            elif values.size != n_units:
-                raise MatchingError(
-                    f"{pool} confounder columns disagree on pool size"
-                )
-            columns.append(
-                _log_confounder_column(values, f"column {i} ({pool})")
-            )
-        return np.column_stack(columns).reshape(n_units, len(arrays))
-
-    log_c = _matrix(control_confounders, "control")
-    log_t = _matrix(treatment_confounders, "treatment")
-    n_control, n_treatment = log_c.shape[0], log_t.shape[0]
-
-    def _accounted(summary: MatchingSummary, n_candidates: int) -> MatchingSummary:
-        obs.count("matching.runs")
-        obs.count("matching.pool.control", summary.n_control)
-        obs.count("matching.pool.treatment", summary.n_treatment)
-        obs.count("matching.candidates", n_candidates)
-        obs.count("matching.pairs", summary.n_matched)
-        return summary
-
-    if n_control == 0 or n_treatment == 0:
-        return _accounted(
-            MatchingSummary(
-                pairs=(), n_control=n_control, n_treatment=n_treatment,
-                caliper=caliper,
-            ),
-            0,
-        )
-    accepted, n_candidates = _greedy_index_pairs(
+    log_c = _log_matrix(control_confounders, "control")
+    log_t = _log_matrix(treatment_confounders, "treatment")
+    control, treatment, distance, n_candidates = _greedy_index_pairs(
         log_c, log_t, caliper, max_pairs
     )
-    return _accounted(
-        MatchingSummary(
-            pairs=tuple(
-                MatchedPair(c, t, dist) for c, t, dist in accepted
-            ),
-            n_control=n_control,
-            n_treatment=n_treatment,
-            caliper=caliper,
-        ),
-        n_candidates,
+    summary = MatchingSummary(
+        control=control,
+        treatment=treatment,
+        distance=distance,
+        n_control=log_c.shape[0],
+        n_treatment=log_t.shape[0],
+        caliper=caliper,
     )
+    # Run-ledger accounting (no-op outside a traced run): pool sizes,
+    # caliper-compatible candidates, and accepted pairs.
+    obs.count("matching.runs")
+    obs.count("matching.pool.control", summary.n_control)
+    obs.count("matching.pool.treatment", summary.n_treatment)
+    obs.count("matching.candidates", n_candidates)
+    obs.count("matching.pairs", summary.n_matched)
+    return summary
 
 
 def _band_windows(
@@ -399,14 +273,13 @@ def _greedy_index_pairs(
     log_t: np.ndarray,
     caliper: float,
     max_pairs: int | None,
-) -> tuple[list[tuple[int, int, float]], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The deterministic globally-greedy core, over log-space matrices.
 
-    Returns accepted ``(control_index, treatment_index, distance)``
-    triples (in acceptance order) and the caliper-compatible candidate
+    Returns the accepted pairs as ``(control, treatment, distance)``
+    arrays in acceptance order, and the caliper-compatible candidate
     count. The ``lexsort`` tie-break on (distance, control, treatment)
-    makes the result a pure function of the matrices, which is what lets
-    both matching entry points guarantee identical pairs.
+    makes the result a pure function of the matrices.
     """
     limit = math.log(1.0 + caliper)
     bound = limit + 1e-12
@@ -447,25 +320,25 @@ def _greedy_index_pairs(
             # survivors only.
             dist_parts.append(np.abs(log_c[rows] - log_t[cols]).sum(axis=1))
     if not ci_parts:
-        return [], 0
+        none = np.empty(0, dtype=np.intp)
+        return none, none, np.empty(0, dtype=np.float64), 0
     ci = np.concatenate(ci_parts)
     ti = np.concatenate(ti_parts)
     pair_distance = np.concatenate(dist_parts)
     order = np.lexsort((ti, ci, pair_distance))
+    ci, ti, pair_distance = ci[order], ti[order], pair_distance[order]
 
     # The scalar greedy over plain Python values: one ``tolist`` per
     # column instead of a numpy scalar lookup per candidate.
     used_control = [False] * log_c.shape[0]
     used_treatment = [False] * log_t.shape[0]
-    accepted: list[tuple[int, int, float]] = []
+    accepted: list[int] = []
     budget = ci.size if max_pairs is None else max_pairs
-    for c, t, distance in zip(
-        ci[order].tolist(), ti[order].tolist(), pair_distance[order].tolist()
-    ):
+    for rank, (c, t) in enumerate(zip(ci.tolist(), ti.tolist())):
         if len(accepted) >= budget:
             break
         if used_control[c] or used_treatment[t]:
             continue
         used_control[c] = used_treatment[t] = True
-        accepted.append((c, t, distance))
-    return accepted, int(ci.size)
+        accepted.append(rank)
+    return ci[accepted], ti[accepted], pair_distance[accepted], int(ci.size)

@@ -18,10 +18,11 @@ import numpy as np
 from repro.analysis.common import BinnedCurve, BinnedCurvePoint
 from repro.analysis.iqb import IqbConfig, resolve_iqb_config
 from repro.core.binning import BinSpec, capacity_class_spec
-from repro.core.experiments import ExperimentResult, NaturalExperiment, PairedOutcome
+from repro.core.experiments import ExperimentResult, NaturalExperiment
 from repro.core.matching import LOSS_MATCH_FLOOR, MatchingSummary, match_pairs
 from repro.core.stats import mean_confidence_interval
 from tests.analysis.record_model import UserRecord
+from tests.core.scalar_reference import sign_test
 
 
 def demand_outcome(metric: str, include_bt: bool) -> Callable[[UserRecord], float]:
@@ -54,8 +55,10 @@ def eligible(user: UserRecord, confounders: Sequence[str], outcome=None) -> bool
 @dataclass(frozen=True)
 class RecordExperiment:
     result: ExperimentResult
-    #: Pairs carry the eligible records themselves.
     matching: MatchingSummary
+    #: Each pair as (control user id, treatment user id, distance), in
+    #: acceptance order.
+    pairs: list[tuple[str, str, float]]
 
 
 def matched_experiment(
@@ -65,7 +68,8 @@ def matched_experiment(
     confounders: Sequence[str],
     outcome: Callable[[UserRecord], float],
 ) -> RecordExperiment:
-    """Filter, match and sign-test one record at a time."""
+    """Filter, match and sign-test one record at a time; the sign test
+    is the per-pair reference loop."""
     eligible_control = [u for u in control if eligible(u, confounders, outcome)]
     eligible_treatment = [
         u for u in treatment if eligible(u, confounders, outcome)
@@ -75,13 +79,23 @@ def matched_experiment(
         eligible_treatment,
         [CONFOUNDER_EXTRACTORS[name_] for name_ in confounders],
     )
-    result = NaturalExperiment(
-        name=name, hypothesis="treatment increases demand"
-    ).evaluate(
-        PairedOutcome(outcome(pair.control), outcome(pair.treatment))
-        for pair in matching.pairs
+    pairs = [
+        (eligible_control[c], eligible_treatment[t], distance)
+        for c, t, distance in zip(
+            matching.control.tolist(),
+            matching.treatment.tolist(),
+            matching.distance.tolist(),
+        )
+    ]
+    result = sign_test(
+        NaturalExperiment(name=name, hypothesis="treatment increases demand"),
+        ((outcome(c), outcome(t)) for c, t, _ in pairs),
     )
-    return RecordExperiment(result=result, matching=matching)
+    return RecordExperiment(
+        result=result,
+        matching=matching,
+        pairs=[(c.user_id, t.user_id, d) for c, t, d in pairs],
+    )
 
 
 def binned_demand_curve(

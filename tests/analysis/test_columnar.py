@@ -146,16 +146,13 @@ class TestMatchedExperiments:
         )
         control_ids = control_cols.user_ids
         treatment_ids = treatment_cols.user_ids
-        assert [
-            (p.control.user_id, p.treatment.user_id, p.distance)
-            for p in by_object.matching.pairs
-        ] == [
-            (
-                control_ids[control_idx[p.control]],
-                treatment_ids[treatment_idx[p.treatment]],
-                p.distance,
+        assert by_object.pairs == [
+            (control_ids[control_idx[c]], treatment_ids[treatment_idx[t]], d)
+            for c, t, d in zip(
+                by_column.matching.control.tolist(),
+                by_column.matching.treatment.tolist(),
+                by_column.matching.distance.tolist(),
             )
-            for p in by_column.matching.pairs
         ]
 
     def test_experiment_produces_pairs(self, pools):
@@ -222,17 +219,11 @@ class TestFaultedWorldEquivalence:
         assert by_arrays.n_matched == by_object.n_matched > 0
         assert by_arrays.n_control == by_object.n_control
         assert by_arrays.n_treatment == by_object.n_treatment
-        assert [
-            (p.control.user_id, p.treatment.user_id, p.distance)
-            for p in by_object.pairs
-        ] == [
-            (
-                eligible_control[p.control].user_id,
-                eligible_treatment[p.treatment].user_id,
-                p.distance,
-            )
-            for p in by_arrays.pairs
-        ]
+        # Both index the same eligible pools: equal arrays, distances
+        # bit for bit.
+        assert by_object.control.tolist() == by_arrays.control.tolist()
+        assert by_object.treatment.tolist() == by_arrays.treatment.tolist()
+        assert by_object.distance.tobytes() == by_arrays.distance.tobytes()
 
     @pytest.mark.parametrize(
         "confounders",

@@ -318,11 +318,13 @@ class TestMatchedExperiment:
             confounders=("latency",),
             outcome=demand_outcome("peak", include_bt=False),
         )
-        assert result.matching.pairs
+        assert result.matching.n_matched
         # Every user has a finite latency, so pairs index the pools.
-        for pair in result.matching.pairs:
-            ratio = low.latency_ms[pair.control] / high.latency_ms[pair.treatment]
-            assert 1 / 1.2501 <= ratio <= 1.2501
+        ratio = (
+            low.latency_ms[result.matching.control]
+            / high.latency_ms[result.matching.treatment]
+        )
+        assert ((1 / 1.2501 <= ratio) & (ratio <= 1.2501)).all()
 
     def test_missing_confounders_excluded(self, dasu_users):
         # Users without an upgrade-cost estimate must be dropped, not crash.

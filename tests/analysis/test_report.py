@@ -6,14 +6,13 @@ from repro.analysis.report import (
     format_experiment_row,
     format_paper_vs_measured,
 )
-from repro.core.experiments import NaturalExperiment, PairedOutcome
+from repro.core.experiments import NaturalExperiment
 
 
 def experiment_result(holds=70, total=100):
-    outcomes = [PairedOutcome(0.0, 1.0)] * holds + [
-        PairedOutcome(1.0, 0.0)
-    ] * (total - holds)
-    return NaturalExperiment("demo").evaluate(outcomes)
+    control = [0.0] * holds + [1.0] * (total - holds)
+    treatment = [1.0] * holds + [0.0] * (total - holds)
+    return NaturalExperiment("demo").evaluate(control, treatment)
 
 
 class TestFormatExperimentRow:

@@ -8,49 +8,81 @@ import pytest
 from repro.core import matching
 from repro.exceptions import MatchingError
 
+from .scalar_reference import caliper_compatible
+
+
+def compatible(a, b, caliper=matching.DEFAULT_CALIPER):
+    """The caliper reference's verdict on ``(a, b)``, after checking
+    that the matcher pairs two one-unit pools exactly when it is True."""
+    verdict = caliper_compatible(a, b, caliper=caliper)
+    summary = matching.match_pairs_arrays(
+        [np.array([a])], [np.array([b])], caliper=caliper
+    )
+    assert summary.n_matched == int(verdict)
+    return verdict
+
+
+def rejected(a, b, caliper=matching.DEFAULT_CALIPER):
+    """Both the caliper reference and the matcher reject ``(a, b)``."""
+    with pytest.raises(MatchingError):
+        caliper_compatible(a, b, caliper=caliper)
+    with pytest.raises(MatchingError):
+        matching.match_pairs_arrays(
+            [np.array([a])], [np.array([b])], caliper=caliper
+        )
+    return True
+
+
+def triples(summary):
+    """The accepted pairs as ``(control, treatment, distance bits)``."""
+    return list(
+        zip(
+            summary.control.tolist(),
+            summary.treatment.tolist(),
+            [d.hex() for d in summary.distance.tolist()],
+        )
+    )
+
 
 class TestCaliperCompatible:
     def test_within_25_percent(self):
         # The paper's example: 50 ms and 62 ms are similar.
-        assert matching.caliper_compatible(50.0, 62.0)
+        assert compatible(50.0, 62.0)
 
     def test_beyond_25_percent(self):
-        assert not matching.caliper_compatible(50.0, 63.0)
+        assert not compatible(50.0, 63.0)
 
     def test_symmetric(self):
-        assert matching.caliper_compatible(62.0, 50.0)
+        assert compatible(62.0, 50.0)
 
     def test_equal_values(self):
-        assert matching.caliper_compatible(3.0, 3.0)
+        assert compatible(3.0, 3.0)
 
     def test_both_zero_compatible(self):
-        assert matching.caliper_compatible(0.0, 0.0)
+        assert compatible(0.0, 0.0)
 
     def test_zero_vs_large_incompatible(self):
-        assert not matching.caliper_compatible(0.0, 1.0)
+        assert not compatible(0.0, 1.0)
 
     def test_tiny_values_treated_as_zero(self):
-        assert matching.caliper_compatible(1e-9, 1e-8)
+        assert compatible(1e-9, 1e-8)
 
     def test_custom_caliper(self):
-        assert matching.caliper_compatible(10.0, 14.0, caliper=0.5)
-        assert not matching.caliper_compatible(10.0, 16.0, caliper=0.5)
+        assert compatible(10.0, 14.0, caliper=0.5)
+        assert not compatible(10.0, 16.0, caliper=0.5)
 
     def test_invalid_caliper_rejected(self):
-        with pytest.raises(MatchingError):
-            matching.caliper_compatible(1.0, 1.0, caliper=0.0)
+        assert rejected(1.0, 1.0, caliper=0.0)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(MatchingError):
-            matching.caliper_compatible(-1.0, 1.0)
+        assert rejected(-1.0, 1.0)
 
     def test_nan_rejected(self):
         # NaN marks a missing covariate and must be excluded *before*
         # matching; silently falling through the comparisons would make
         # every NaN pair "incompatible" without ever surfacing the bug.
         for a, b in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
-            with pytest.raises(MatchingError):
-                matching.caliper_compatible(a, b)
+            assert rejected(a, b)
 
 
 class TestFloorConstants:
@@ -73,19 +105,19 @@ class TestFloorConstants:
         # Two loss-free lines floored at LOSS_MATCH_FLOOR are similar;
         # a floored line vs. 1% loss is not.
         floor = matching.LOSS_MATCH_FLOOR
-        assert matching.caliper_compatible(floor, floor)
-        assert matching.caliper_compatible(floor, floor * 1.25)
-        assert not matching.caliper_compatible(floor, floor * 1.26)
-        assert not matching.caliper_compatible(floor, 0.01)
+        assert compatible(floor, floor)
+        assert compatible(floor, floor * 1.25)
+        assert not compatible(floor, floor * 1.26)
+        assert not compatible(floor, 0.01)
 
     def test_caliper_behavior_at_zero_floor(self):
         # Values at or below ZERO_FLOOR collapse to "zero": mutually
         # compatible, incompatible with anything materially larger.
         floor = matching.ZERO_FLOOR
-        assert matching.caliper_compatible(floor, floor / 10.0)
-        assert matching.caliper_compatible(0.0, floor)
-        assert matching.caliper_compatible(floor, floor * 1.25)
-        assert not matching.caliper_compatible(floor, floor * 1.26)
+        assert compatible(floor, floor / 10.0)
+        assert compatible(0.0, floor)
+        assert compatible(floor, floor * 1.25)
+        assert not compatible(floor, floor * 1.26)
 
     def test_pinned_values(self):
         # Regression pin: changing either floor changes which users the
@@ -108,8 +140,8 @@ class TestMatchPairs:
         treatment = [{"v": 10.0}, {"v": 1.0}]
         summary = matching.match_pairs(control, treatment, [by_value])
         assert summary.n_matched == 2
-        for pair in summary.pairs:
-            assert pair.control["v"] == pair.treatment["v"]
+        for c, t in zip(summary.control, summary.treatment):
+            assert control[c]["v"] == treatment[t]["v"]
 
     def test_caliper_blocks_distant_pairs(self):
         control = [{"v": 1.0}]
@@ -127,7 +159,7 @@ class TestMatchPairs:
         control = [{"v": 1.0}]
         treatment = [{"v": 1.2}, {"v": 1.01}]
         summary = matching.match_pairs(control, treatment, [by_value])
-        assert summary.pairs[0].treatment["v"] == 1.01
+        assert treatment[summary.treatment[0]]["v"] == 1.01
 
     def test_multiple_confounders_all_must_match(self):
         control = [{"v": 1.0, "w": 1.0}]
@@ -136,7 +168,7 @@ class TestMatchPairs:
             control, treatment, [by_value, by_weight]
         )
         assert summary.n_matched == 1
-        assert summary.pairs[0].treatment["w"] == 1.1
+        assert treatment[summary.treatment[0]]["w"] == 1.1
 
     def test_empty_pools(self):
         assert matching.match_pairs([], [{"v": 1.0}], [by_value]).n_matched == 0
@@ -155,18 +187,15 @@ class TestMatchPairs:
         treatment = [{"v": 1.0 + 0.011 * i} for i in range(20)]
         a = matching.match_pairs(control, treatment, [by_value])
         b = matching.match_pairs(control, treatment, [by_value])
-        assert [
-            (p.control["v"], p.treatment["v"]) for p in a.pairs
-        ] == [(p.control["v"], p.treatment["v"]) for p in b.pairs]
+        assert triples(a) == triples(b)
 
     def test_all_pairs_respect_caliper(self):
         control = [{"v": float(i)} for i in range(1, 50)]
         treatment = [{"v": float(i) * 1.2} for i in range(1, 50)]
         summary = matching.match_pairs(control, treatment, [by_value])
-        for pair in summary.pairs:
-            assert matching.caliper_compatible(
-                pair.control["v"], pair.treatment["v"]
-            )
+        assert summary.n_matched
+        for c, t in zip(summary.control, summary.treatment):
+            assert caliper_compatible(control[c]["v"], treatment[t]["v"])
 
     def test_match_rate(self):
         control = [{"v": 1.0}, {"v": 100.0}]
@@ -189,7 +218,7 @@ class TestMatchPairs:
         control = [{"v": 10.0}]
         treatment = [{"v": 8.1}, {"v": 12.0}]
         summary = matching.match_pairs(control, treatment, [by_value])
-        assert summary.pairs[0].treatment["v"] == 12.0
+        assert treatment[summary.treatment[0]]["v"] == 12.0
 
     def test_chunked_path_equivalent(self):
         # Large-ish pools exercise the chunked candidate enumeration.
@@ -288,7 +317,7 @@ class TestCandidateCellBudget:
         tiny = matching.match_pairs(control, treatment, extractors)
         assert {rows for rows, _ in gathered} == {1}
         assert len(gathered) == len(control)
-        assert tiny.pairs == baseline.pairs
+        assert triples(tiny) == triples(baseline)
 
     def test_chunked_five_confounder_matching_equivalent(self, monkeypatch):
         control, treatment, extractors = _five_confounder_pools()
@@ -297,9 +326,7 @@ class TestCandidateCellBudget:
         gathered = _spy_blocks(monkeypatch)
         chunked = matching.match_pairs(control, treatment, extractors)
         assert len(gathered) > 1
-        assert [
-            (p.control, p.treatment, p.distance) for p in chunked.pairs
-        ] == [(p.control, p.treatment, p.distance) for p in baseline.pairs]
+        assert triples(chunked) == triples(baseline)
 
 
 class TestNonFiniteConfounders:
@@ -308,7 +335,7 @@ class TestNonFiniteConfounders:
     The original guard caught only NaN: two users whose extractor
     produced ``inf`` satisfied ``inf <= 1.25 * inf`` and were "matched"
     on a meaningless covariate. Every non-finite value now raises
-    :class:`MatchingError` from :func:`caliper_compatible` all the way
+    :class:`MatchingError`, from the caliper reference all the way
     through :func:`match_pairs` / :func:`match_pairs_arrays`.
     """
 
@@ -318,13 +345,13 @@ class TestNonFiniteConfounders:
         for bad in self.NON_FINITE:
             for a, b in ((bad, 1.0), (1.0, bad), (bad, bad)):
                 with pytest.raises(MatchingError, match="finite"):
-                    matching.caliper_compatible(a, b)
+                    caliper_compatible(a, b)
 
     def test_two_infinities_never_compatible(self):
         # The exact regression: inf <= 1.25 * inf is True, so the
         # ratio test alone would call two infinite covariates similar.
         with pytest.raises(MatchingError, match="finite"):
-            matching.caliper_compatible(math.inf, math.inf)
+            caliper_compatible(math.inf, math.inf)
 
     def test_match_pairs_rejects_inf_confounder(self):
         for bad in self.NON_FINITE:
@@ -353,7 +380,7 @@ class TestNonFiniteConfounders:
 
 
 class TestMatchPairsArrays:
-    """The columnar matcher is the object matcher on extracted columns."""
+    """The object matcher is the columnar matcher on extracted columns."""
 
     def _pools(self, n=60):
         control, treatment, extractors = _five_confounder_pools(n)
@@ -371,18 +398,8 @@ class TestMatchPairsArrays:
         control, treatment, extractors, ccols, tcols = self._pools()
         by_object = matching.match_pairs(control, treatment, extractors)
         by_column = matching.match_pairs_arrays(ccols, tcols)
-        # Recover indices by identity: equal-valued units recur in the
-        # pools, so list.index() would alias distinct members.
-        control_idx = {id(u): i for i, u in enumerate(control)}
-        treatment_idx = {id(u): i for i, u in enumerate(treatment)}
-        assert [
-            (
-                control_idx[id(p.control)],
-                treatment_idx[id(p.treatment)],
-                p.distance,
-            )
-            for p in by_object.pairs
-        ] == [(p.control, p.treatment, p.distance) for p in by_column.pairs]
+        assert by_column.n_matched
+        assert triples(by_object) == triples(by_column)
         assert by_object.n_control == by_column.n_control
         assert by_object.n_treatment == by_column.n_treatment
 
@@ -393,9 +410,20 @@ class TestMatchPairsArrays:
             [np.array([1.0, 50.0])], [np.array([50.0, 1.0])]
         )
         assert summary.n_matched == 2
-        assert {(p.control, p.treatment) for p in summary.pairs} == {
+        assert set(zip(summary.control.tolist(), summary.treatment.tolist())) == {
             (0, 1), (1, 0)
         }
+        assert summary.control.dtype == summary.treatment.dtype == np.intp
+        assert summary.distance.dtype == np.float64
+
+    def test_pairs_in_acceptance_order(self):
+        # Ascending distance; equal distances by control, then treatment.
+        summary = matching.match_pairs_arrays(
+            [np.array([10.0, 1.0, 5.0])], [np.array([5.0, 1.1, 10.5])]
+        )
+        assert summary.control.tolist() == [2, 0, 1]
+        assert summary.treatment.tolist() == [0, 2, 1]
+        assert summary.distance.tolist() == sorted(summary.distance.tolist())
 
     def test_empty_pool(self):
         import numpy as np
@@ -404,6 +432,10 @@ class TestMatchPairsArrays:
             [np.array([])], [np.array([1.0])]
         )
         assert summary.n_matched == 0
+        assert (summary.n_control, summary.n_treatment) == (0, 1)
+        assert summary.control.dtype == summary.treatment.dtype == np.intp
+        assert summary.distance.dtype == np.float64
+        assert summary.match_rate == 0.0
 
     def test_mismatched_lengths_rejected(self):
         import numpy as np
@@ -458,7 +490,7 @@ class TestLimitsChecked:
 
     def test_caliper_compatible_rejects_a_nan_caliper(self):
         with pytest.raises(MatchingError, match="caliper"):
-            matching.caliper_compatible(1.0, 1.0, caliper=math.nan)
+            caliper_compatible(1.0, 1.0, caliper=math.nan)
 
     def test_valid_limits_accepted(self):
         control = [1.0, 1.1, 5.0]

@@ -3,9 +3,10 @@
 The library enumerates candidate pairs with a sorted band join on one
 confounder and tests the caliper one column at a time;
 :mod:`tests.core.dense_matching` keeps the original dense cross-product
-enumeration. Both must return the same accepted
-``(control, treatment, distance)`` triples — distances bit for bit —
-and the same caliper-compatible candidate count on every input.
+enumeration. The core returns the accepted pairs as three index and
+distance arrays; read as ``(control, treatment, distance)`` triples,
+they must equal the reference's — distances bit for bit — with the
+same caliper-compatible candidate count on every input.
 """
 
 from __future__ import annotations
@@ -21,6 +22,31 @@ from hypothesis import strategies as st
 from repro.core import matching
 
 from .dense_matching import dense_greedy_index_pairs
+
+def core_pairs(log_c, log_t, caliper, max_pairs):
+    """The core's arrays as the reference's ``(triples, count)``, after
+    checking their dtypes; distances as ``float.hex`` bits."""
+    control, treatment, distance, n_candidates = matching._greedy_index_pairs(
+        log_c, log_t, caliper, max_pairs
+    )
+    assert control.dtype == treatment.dtype == np.intp
+    assert distance.dtype == np.float64
+    assert control.size == treatment.size == distance.size
+    assert isinstance(n_candidates, int)
+    return (
+        list(zip(control.tolist(), treatment.tolist(),
+                 [d.hex() for d in distance.tolist()])),
+        n_candidates,
+    )
+
+
+def dense_pairs(log_c, log_t, caliper, max_pairs):
+    """The dense reference's ``(triples, count)``, distances as bits."""
+    accepted, n_candidates = dense_greedy_index_pairs(
+        log_c, log_t, caliper, max_pairs
+    )
+    return [(c, t, d.hex()) for c, t, d in accepted], n_candidates
+
 
 LIMIT = math.log(1.0 + matching.DEFAULT_CALIPER)
 BOUND = LIMIT + 1e-12
@@ -108,13 +134,9 @@ def test_band_join_matches_dense_reference(
 ):
     log_c, log_t = pools
     with mock.patch.object(matching, "CANDIDATE_CELL_BUDGET", cell_budget):
-        band = matching._greedy_index_pairs(log_c, log_t, caliper, max_pairs)
-    dense = dense_greedy_index_pairs(log_c, log_t, caliper, max_pairs)
-    assert band == dense
+        band = core_pairs(log_c, log_t, caliper, max_pairs)
     # Bit-identical distances, not merely equal ones.
-    assert [d.hex() for _, _, d in band[0]] == [
-        d.hex() for _, _, d in dense[0]
-    ]
+    assert band == dense_pairs(log_c, log_t, caliper, max_pairs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,9 +155,9 @@ def test_window_edge_rounding(value, n_ulps):
     candidates += [value + BOUND, math.nextafter(value + BOUND, math.inf)]
     log_c = np.array([[value]])
     log_t = np.array(candidates)[:, None]
-    assert matching._greedy_index_pairs(
+    assert core_pairs(
         log_c, log_t, matching.DEFAULT_CALIPER, None
-    ) == dense_greedy_index_pairs(log_c, log_t, matching.DEFAULT_CALIPER, None)
+    ) == dense_pairs(log_c, log_t, matching.DEFAULT_CALIPER, None)
 
 
 def test_rounding_gap_wider_than_one_ulp():
@@ -149,9 +171,7 @@ def test_rounding_gap_wider_than_one_ulp():
     assert abs(c - below[-1]) <= BOUND
     log_c = np.array([[c]])
     log_t = np.array(below)[:, None]
-    _, n_candidates = matching._greedy_index_pairs(
-        log_c, log_t, matching.DEFAULT_CALIPER, None
-    )
+    _, n_candidates = core_pairs(log_c, log_t, matching.DEFAULT_CALIPER, None)
     assert n_candidates == 4
 
 
@@ -159,26 +179,20 @@ def test_empty_and_single_unit_pools():
     one = np.zeros((1, 2))
     none = np.zeros((0, 2))
     for log_c, log_t in ((none, one), (one, none), (none, none), (one, one)):
-        assert matching._greedy_index_pairs(
+        assert core_pairs(
             log_c, log_t, matching.DEFAULT_CALIPER, None
-        ) == dense_greedy_index_pairs(
-            log_c, log_t, matching.DEFAULT_CALIPER, None
-        )
+        ) == dense_pairs(log_c, log_t, matching.DEFAULT_CALIPER, None)
 
 
 def test_negative_caliper_matches_nothing():
     log_c = np.zeros((3, 1))
-    assert matching._greedy_index_pairs(log_c, log_c, -0.5, None) == ([], 0)
+    assert core_pairs(log_c, log_c, -0.5, None) == ([], 0)
     assert dense_greedy_index_pairs(log_c, log_c, -0.5, None) == ([], 0)
 
 
 def _assert_same_as_dense(log_c, log_t, caliper, max_pairs):
-    core = matching._greedy_index_pairs(log_c, log_t, caliper, max_pairs)
-    dense = dense_greedy_index_pairs(log_c, log_t, caliper, max_pairs)
-    assert core == dense
-    assert [d.hex() for _, _, d in core[0]] == [
-        d.hex() for _, _, d in dense[0]
-    ]
+    core = core_pairs(log_c, log_t, caliper, max_pairs)
+    assert core == dense_pairs(log_c, log_t, caliper, max_pairs)
     return core
 
 
@@ -216,7 +230,7 @@ def test_all_equal_distances_tie_break_on_units():
         )
         assert n_candidates == 54
         kept = 6 if max_pairs is None else min(max_pairs, 6)
-        assert accepted == [(i, i, 0.0) for i in range(kept)]
+        assert accepted == [(i, i, (0.0).hex()) for i in range(kept)]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 8, 9))

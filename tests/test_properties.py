@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.binning import capacity_class, capacity_class_bounds
-from repro.core.experiments import NaturalExperiment, PairedOutcome
-from repro.core.matching import caliper_compatible, match_pairs
+from repro.core.experiments import NaturalExperiment
+from repro.core.matching import match_pairs
 from repro.core.metrics import demand_summary
 from repro.core.regression import fit_price_capacity
 from repro.core.stats import (
@@ -22,6 +22,7 @@ from repro.core.stats import (
 )
 from repro.measurement.upnp import deltas_from_readings
 from repro.units import UINT32_WRAP, bytes_for_rate, rate_mbps
+from tests.core.scalar_reference import caliper_compatible, sign_test
 
 # ---------------------------------------------------------------------------
 # Units
@@ -182,13 +183,13 @@ def test_matching_invariants(control, treatment):
     summary = match_pairs(c_units, t_units, [lambda u: u["v"]])
     # 1:1 without replacement.
     assert summary.n_matched <= min(len(control), len(treatment))
-    seen_c = [id(p.control) for p in summary.pairs]
-    seen_t = [id(p.treatment) for p in summary.pairs]
-    assert len(seen_c) == len(set(seen_c))
-    assert len(seen_t) == len(set(seen_t))
+    seen_c = summary.control.tolist()
+    seen_t = summary.treatment.tolist()
+    assert len(seen_c) == len(set(seen_c)) == summary.n_matched
+    assert len(seen_t) == len(set(seen_t)) == summary.n_matched
     # Every pair respects the caliper.
-    for pair in summary.pairs:
-        assert caliper_compatible(pair.control["v"], pair.treatment["v"])
+    for c, t in zip(seen_c, seen_t):
+        assert caliper_compatible(c_units[c]["v"], t_units[t]["v"])
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +197,38 @@ def test_matching_invariants(control, treatment):
 # ---------------------------------------------------------------------------
 
 
+#: Outcome values: plain floats, signed zeros, infinities and NaN.
+outcome_value = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1.0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 @given(
     outcomes=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=10.0),
-            st.floats(min_value=0.0, max_value=10.0),
+        st.one_of(
+            st.tuples(outcome_value, outcome_value),
+            # An exact tie (NaN "ties" with nothing, itself included).
+            outcome_value.map(lambda v: (v, v)),
         ),
         min_size=0,
         max_size=200,
     )
 )
 def test_experiment_accounting(outcomes):
-    result = NaturalExperiment("prop").evaluate(
-        PairedOutcome(c, t) for c, t in outcomes
+    experiment = NaturalExperiment("prop")
+    result = experiment.evaluate(
+        np.array([c for c, _ in outcomes], dtype=float),
+        np.array([t for _, t in outcomes], dtype=float),
     )
+    # The array sign test is the per-pair loop, count for count and
+    # p-value bit for bit, with every count a Python int.
+    reference = sign_test(experiment, outcomes)
+    assert result == reference
+    assert result.p_value.hex() == reference.p_value.hex()
+    for count in (result.n_pairs, result.n_holds, result.n_ties):
+        assert type(count) is int
     assert result.n_pairs + result.n_ties == len(outcomes)
     assert 0 <= result.n_holds <= result.n_pairs
     assert 0.0 <= result.p_value <= 1.0
