@@ -20,6 +20,8 @@ This module is that analysis family for the reproduction's worlds:
 * :func:`iqb_experiment` — a matched natural experiment extending
   Tables 7/8: does a higher composite score predict demand beyond
   capacity class and market price?
+* :func:`iqb_barometer` — all of it as one result, rendered by
+  :func:`format_iqb_report` and :func:`iqb_payload` (``iqb.json``).
 
 Scoring formula
 ---------------
@@ -61,12 +63,14 @@ __all__ = [
     "DEFAULT_IQB_CONFIG",
     "HouseholdScores",
     "IQB_PRESETS",
+    "IqbBarometer",
     "IqbConfig",
     "IqbExperimentResult",
     "IqbRequirement",
     "IqbUseCase",
     "MarketScore",
     "format_iqb_report",
+    "iqb_barometer",
     "iqb_experiment",
     "iqb_payload",
     "market_barometer",
@@ -482,10 +486,6 @@ class HouseholdScores:
     #: use case is met outright (threshold comparisons, not score == 1).
     ready: np.ndarray
 
-    @property
-    def n_users(self) -> int:
-        return int(self.composite.size)
-
 
 def score_columns(
     users: UserColumns, config: IqbConfig | None = None
@@ -534,7 +534,8 @@ def score_columns(
 
 @dataclass(frozen=True)
 class MarketScore:
-    """One market's (country's) aggregated barometer scores."""
+    """One market's (country's) aggregated barometer scores, or a whole
+    panel's (:class:`IqbBarometer`)."""
 
     market: str
     n_users: int
@@ -544,6 +545,24 @@ class MarketScore:
     ready_ci: ConfidenceInterval
     #: Per-use-case mean scores, config order.
     use_case_means: tuple[tuple[str, float], ...]
+
+    @classmethod
+    def aggregate(cls, label: str, scores: HouseholdScores, rows=...):
+        """``scores`` over the ``rows`` mask (default: every household),
+        reduced over sorted values."""
+        composite = scores.composite[rows]
+        n_ready = int(np.count_nonzero(scores.ready[rows]))
+        return cls(
+            market=label,
+            n_users=composite.size,
+            mean_composite=float(np.sort(composite).mean()),
+            n_ready=n_ready,
+            ready_ci=wilson_interval(n_ready, composite.size),
+            use_case_means=tuple(
+                (name, float(np.sort(values[rows]).mean()))
+                for name, values in scores.use_case_scores.items()
+            ),
+        )
 
     @property
     def ready_share(self) -> float:
@@ -584,25 +603,10 @@ def market_barometer(
     markets = []
     for country in np.unique(countries):
         mask = countries == country
-        n = int(np.count_nonzero(mask))
-        if n < min_users:
-            continue
-        n_ready = int(np.count_nonzero(scores.ready[mask]))
-        markets.append(
-            MarketScore(
-                market=country.decode("utf-8"),
-                n_users=n,
-                mean_composite=float(
-                    np.sort(scores.composite[mask]).mean()
-                ),
-                n_ready=n_ready,
-                ready_ci=wilson_interval(n_ready, n),
-                use_case_means=tuple(
-                    (name, float(np.sort(values[mask]).mean()))
-                    for name, values in scores.use_case_scores.items()
-                ),
+        if np.count_nonzero(mask) >= min_users:
+            markets.append(
+                MarketScore.aggregate(country.decode("utf-8"), scores, mask)
             )
-        )
     obs.count("iqb.markets", len(markets))
     return tuple(markets)
 
@@ -699,122 +703,106 @@ def iqb_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Rendering: the report fragment text and the JSON payload.
+# The barometer: one result, rendered as report text and as JSON.
 # ---------------------------------------------------------------------------
 
 
-def _population_lines(
-    label: str, scores: HouseholdScores
-) -> list[str]:
-    n = scores.n_users
-    n_ready = int(np.count_nonzero(scores.ready))
-    ci = wilson_interval(n_ready, n)
-    lines = [
-        f"  {label}: {n} households, composite "
-        f"{float(np.sort(scores.composite).mean()):.3f}, fully ready "
-        f"{100 * n_ready / n:.1f}% [{100 * ci.low:.1f}%, "
-        f"{100 * ci.high:.1f}%]"
-    ]
-    for name, values in scores.use_case_scores.items():
-        lines.append(
-            f"    {name:<18} mean score {float(np.sort(values).mean()):.3f}"
-        )
-    return lines
+@dataclass(frozen=True)
+class IqbBarometer:
+    """The barometer over one dataset pair, floats unrounded: the one
+    result :func:`format_iqb_report` and :func:`iqb_payload` render."""
+
+    config: IqbConfig
+    #: Panel-wide scores: ``Dasu``, then ``FCC`` when it has households.
+    populations: tuple[MarketScore, ...]
+    markets: tuple[MarketScore, ...]
+    #: The IQB-vs-demand experiment, or why it was skipped.
+    experiment: IqbExperimentResult | str
 
 
-def format_iqb_report(
+def iqb_barometer(
     dasu: UserColumns,
     fcc: UserColumns | None = None,
     config: IqbConfig | None = None,
-    *,
-    max_markets: int = 12,
-) -> str:
-    """The barometer block: population scores, markets, experiment."""
+) -> IqbBarometer:
+    """Population scores, markets and the IQB-vs-demand experiment."""
     config = resolve_iqb_config(config)
     if dasu.n_users == 0:
         raise AnalysisError("the IQB barometer needs Dasu households")
     with obs.span(f"iqb/report/{config.name}"):
-        lines = [f"Internet quality barometer (config {config.name!r})"]
-        lines.extend(_population_lines("Dasu", score_columns(dasu, config)))
-        if fcc is not None and fcc.n_users:
-            lines.extend(_population_lines("FCC", score_columns(fcc, config)))
-        markets = market_barometer(dasu, config)
-        shown = markets[:max_markets]
-        lines.append(
-            f"  markets (>= {_MIN_MARKET_USERS} households, "
-            f"{len(shown)} of {len(markets)} shown):"
+        populations = tuple(
+            MarketScore.aggregate(label, score_columns(users, config))
+            for label, users in (("Dasu", dasu), ("FCC", fcc))
+            if users is not None and users.n_users
         )
-        for market in shown:
-            lines.append(
-                f"    {market.market:<14} n={market.n_users:<6} "
-                f"composite {market.mean_composite:.3f}  ready "
-                f"{100 * market.ready_share:5.1f}% "
-                f"[{100 * market.ready_ci.low:.1f}%, "
-                f"{100 * market.ready_ci.high:.1f}%]"
-            )
+        markets = market_barometer(dasu, config)
         try:
             experiment = iqb_experiment(dasu, config)
         except AnalysisError as exc:
-            lines.append(f"  IQB-vs-demand experiment skipped: {exc}")
-        else:
-            result = experiment.experiment.result
-            verdict = "holds" if result.rejects_null else "null retained"
-            lines.append(
-                f"  IQB vs demand (within-class terciles over "
-                f"{experiment.n_classes} capacity classes, "
-                f"capacity+price matched): H holds "
-                f"{100 * result.fraction_holds:.1f}% of "
-                f"{result.n_pairs} pairs, p={result.p_value:.3g} "
-                f"-> {verdict}"
-            )
+            experiment = str(exc)
+    return IqbBarometer(config, populations, markets, experiment)
+
+
+def format_iqb_report(barometer: IqbBarometer) -> str:
+    """The barometer block: population scores, markets, experiment."""
+    lines = [f"Internet quality barometer (config {barometer.config.name!r})"]
+    for score in barometer.populations:
+        ci = score.ready_ci
+        lines.append(
+            f"  {score.market}: {score.n_users} households, composite "
+            f"{score.mean_composite:.3f}, fully ready "
+            f"{100 * score.n_ready / score.n_users:.1f}% "
+            f"[{100 * ci.low:.1f}%, {100 * ci.high:.1f}%]"
+        )
+        for name, value in score.use_case_means:
+            lines.append(f"    {name:<18} mean score {value:.3f}")
+    shown = barometer.markets[:12]
+    lines.append(
+        f"  markets (>= {_MIN_MARKET_USERS} households, "
+        f"{len(shown)} of {len(barometer.markets)} shown):"
+    )
+    for market in shown:
+        lines.append(
+            f"    {market.market:<14} n={market.n_users:<6} "
+            f"composite {market.mean_composite:.3f}  ready "
+            f"{100 * market.ready_share:5.1f}% "
+            f"[{100 * market.ready_ci.low:.1f}%, "
+            f"{100 * market.ready_ci.high:.1f}%]"
+        )
+    experiment = barometer.experiment
+    if isinstance(experiment, str):
+        lines.append(f"  IQB-vs-demand experiment skipped: {experiment}")
+    else:
+        result = experiment.experiment.result
+        verdict = "holds" if result.rejects_null else "null retained"
+        lines.append(
+            f"  IQB vs demand (within-class terciles over "
+            f"{experiment.n_classes} capacity classes, "
+            f"capacity+price matched): H holds "
+            f"{100 * result.fraction_holds:.1f}% of "
+            f"{result.n_pairs} pairs, p={result.p_value:.3g} "
+            f"-> {verdict}"
+        )
     return "\n".join(lines)
 
 
-def iqb_payload(
-    dasu: UserColumns,
-    fcc: UserColumns | None = None,
-    config: IqbConfig | None = None,
-) -> dict:
+def iqb_payload(barometer: IqbBarometer) -> dict:
     """JSON-ready barometer payload (``iqb.json``, ``/iqb.json``).
 
     Deterministic for a fixed dataset: floats are rounded to 12 digits
     and reductions sort first, so warm/cold caches and any ``--jobs``
     value serialize byte-identically.
     """
-    config = resolve_iqb_config(config)
-    if dasu.n_users == 0:
-        raise AnalysisError("the IQB barometer needs Dasu households")
-
-    def population(columns: UserColumns) -> dict:
-        scores = score_columns(columns, config)
-        n_ready = int(np.count_nonzero(scores.ready))
-        ci = wilson_interval(n_ready, scores.n_users)
-        return {
-            "n_users": scores.n_users,
-            "mean_composite": round(
-                float(np.sort(scores.composite).mean()), 12
-            ),
-            "n_ready": n_ready,
-            "ready_share": round(n_ready / scores.n_users, 12),
-            "ready_ci_low": round(ci.low, 12),
-            "ready_ci_high": round(ci.high, 12),
-            "use_case_means": {
-                name: round(float(np.sort(values).mean()), 12)
-                for name, values in scores.use_case_scores.items()
-            },
-        }
-
     payload: dict = {
-        "config": config.to_payload(),
-        "dasu": population(dasu),
-        "markets": [m.to_payload() for m in market_barometer(dasu, config)],
+        "config": barometer.config.to_payload(),
+        "markets": [m.to_payload() for m in barometer.markets],
     }
-    if fcc is not None and fcc.n_users:
-        payload["fcc"] = population(fcc)
-    try:
-        experiment = iqb_experiment(dasu, config)
-    except AnalysisError as exc:
-        payload["experiment"] = {"skipped": str(exc)}
+    for score in barometer.populations:  # under "dasu" and "fcc"
+        payload[score.market.lower()] = score.to_payload()
+        del payload[score.market.lower()]["market"]
+    experiment = barometer.experiment
+    if isinstance(experiment, str):
+        payload["experiment"] = {"skipped": experiment}
     else:
         result = experiment.experiment.result
         payload["experiment"] = {

@@ -77,31 +77,26 @@ def fragment_keys() -> tuple[str, ...]:
     return tuple(_FRAGMENTS)
 
 
-#: A rendered fragment: ``(text, error)`` as :func:`render_fragment`
-#: returns it.
-_Rendered = tuple[str | None, str | None]
-
-
-def _assemble_section(header: str | None, outputs: Sequence[_Rendered]) -> str:
+def _assemble_section(header: str | None, outputs: Sequence[dict]) -> str:
     """Join fragment blocks under the section header.
 
     The first failed fragment (in section order) skips the whole
     section, mirroring the serial implementation where an
     AnalysisError aborted the section at that point.
     """
-    for _, error in outputs:
-        if error is not None:
-            return f"[section skipped: {error}]"
+    for output in outputs:
+        if output["error"] is not None:
+            return f"[section skipped: {output['error']}]"
     lines = [] if header is None else [header]
-    for text, _ in outputs:
+    for output in outputs:
         # None (dataset absent) and "" (a table with zero rows) both
         # rendered nothing in the serial single-pass implementation.
-        if text:
-            lines.append(text)
+        if output["text"]:
+            lines.append(output["text"])
     return "\n".join(lines)
 
 
-def _fold_sections(fragments: dict[str, _Rendered]) -> list[str]:
+def _fold_sections(fragments: dict[str, dict]) -> list[str]:
     """One block per paper section, folded from every fragment."""
     missing = set(_FRAGMENTS) - set(fragments)
     if missing:
@@ -119,26 +114,27 @@ def render_fragment(
     dasu: UserColumns | None = None,
     fcc: UserColumns | None = None,
     survey: PlanSurvey | None = None,
-) -> _Rendered:
+) -> dict:
     """Render one fragment without timing or ledger accounting.
 
-    Returns ``(text, error)``: an :class:`~repro.exceptions.AnalysisError`
-    becomes a section-skip message, and ``None`` text means the
-    fragment's optional dataset is absent or has no users. This is the
-    only place a fragment is rendered — :func:`full_report` and the DAG
-    fragment stages both use it as is, so their artifacts contain no
-    wall-clock state and an unchanged input hashes to an unchanged
-    output.
+    Returns ``{"text", "error"}`` plus any ``"payload"``: an
+    :class:`~repro.exceptions.AnalysisError` becomes a section-skip
+    ``error``, and ``None`` text means the fragment's optional dataset is
+    absent or has no users. This is the only place a fragment is
+    rendered — :func:`full_report` and the DAG fragment stages both use
+    it as is, so their artifacts contain no wall-clock state and an
+    unchanged input hashes to an unchanged output.
     """
     build = _FRAGMENTS[key]
     try:
-        return build(dasu, fcc, survey), None
+        rendered = build(dasu, fcc, survey) or {"text": None}
     except AnalysisError as exc:
-        return None, str(exc)
+        return {"text": None, "error": str(exc)}
+    return {**rendered, "error": None}
 
 
 def assemble_report(
-    fragments: dict[str, _Rendered],
+    fragments: dict[str, dict],
     *,
     n_dasu: int,
     n_fcc: int = 0,
@@ -146,7 +142,7 @@ def assemble_report(
 ) -> str:
     """Assemble the full report text from pre-rendered fragments.
 
-    ``fragments`` maps every fragment key to its ``(text, error)`` pair
+    ``fragments`` maps every fragment key to its rendering
     (:func:`render_fragment`'s return). Both :func:`full_report` and the
     fragment-level DAG assemble here, so the header, dividers and
     section-skip semantics exist once and a DAG-served report is
@@ -174,7 +170,7 @@ def _render_all(
     dasu: UserColumns,
     fcc: UserColumns | None,
     survey: PlanSurvey | None,
-) -> dict[str, _Rendered]:
+) -> dict[str, dict]:
     """Every fragment, rendered serially in declaration order."""
     if dasu.n_users == 0:
         raise AnalysisError("a report needs at least the Dasu dataset")

@@ -5,6 +5,7 @@ compute call reads, makes that call, and carries the renderers it has:
 
 * ``report`` — its block of the paper report (the entry's key is then
   a report fragment, placed by ``paper_report._SECTIONS``);
+* ``payload`` — the result as JSON, carried beside the block (``iqb.json``);
 * ``summary`` — its lines under ``repro analyze``;
 * ``verdicts`` — verdict rows ``(label, paper %, ExperimentResult)``,
   the rows a sweep scores in every cell.
@@ -61,6 +62,7 @@ class Experiment:
     #: The name ``analyze`` and the sweep use (default: ``key``).
     group: str | None = None
     report: Callable[[Any], str] | None = None
+    payload: Callable[[Any], dict] | None = None
     summary: Callable[[Any], Sequence[str]] | None = None
     verdicts: Callable[[Any], Sequence[Row]] | None = None
 
@@ -84,10 +86,16 @@ class Experiment:
             return None
         return self.compute(*(data.get(name) for name in self.inputs))
 
-    def render(self, dasu, fcc=None, survey=None) -> str | None:
-        """The report block, or ``None`` when a needed dataset is absent."""
+    def render(self, dasu, fcc=None, survey=None) -> dict | None:
+        """The report block as ``text`` and any ``payload``, from one
+        compute call; ``None`` when a needed dataset is absent."""
         result = self.run(dasu=dasu, fcc=fcc, survey=survey)
-        return None if result is None else self.report(result)
+        if result is None:
+            return None
+        rendered = {"text": self.report(result)}
+        if self.payload is not None:
+            rendered["payload"] = self.payload(result)
+        return rendered
 
 
 def _table(
@@ -365,12 +373,14 @@ REGISTRY: tuple[Experiment, ...] = (
         title="  Table 8 (packet loss):",
     ),
     # Extensions beyond the paper's evaluation. The barometer is a
-    # report block; its IQB-vs-demand experiment, under the scenario's
-    # IQB config, is the sweep's ``iqb``. Both call through the iqb
-    # module, where the benchmark's layer tracer wraps them.
+    # report block and ``iqb.json``; its IQB-vs-demand experiment, under
+    # the scenario's IQB config, is the sweep's ``iqb``. All call through
+    # the iqb module, where the benchmark's layer tracer wraps them.
     Experiment(
-        "iqb", lambda dasu, fcc: iqb.format_iqb_report(dasu, fcc),
-        inputs=("dasu", "fcc"), report=lambda text: text,
+        "iqb", lambda dasu, fcc: iqb.iqb_barometer(dasu, fcc),
+        inputs=("dasu", "fcc"),
+        report=lambda barometer: iqb.format_iqb_report(barometer),
+        payload=lambda barometer: iqb.iqb_payload(barometer),
     ),
     Experiment(
         "iqb_vs_demand", lambda dasu, config: iqb.iqb_experiment(dasu, config),

@@ -488,6 +488,7 @@ def _iqb(args: argparse.Namespace) -> int:
         IQB_PRESETS,
         IqbConfig,
         format_iqb_report,
+        iqb_barometer,
         iqb_payload,
         resolve_iqb_config,
     )
@@ -525,8 +526,8 @@ def _iqb(args: argparse.Namespace) -> int:
             if world.ledger is not None:
                 ledger.merge(world.ledger)
             dasu, fcc = world.dasu.columns, world.fcc.columns
-        text = format_iqb_report(dasu, fcc, iqb_config)
-        payload = iqb_payload(dasu, fcc, iqb_config)
+        barometer = iqb_barometer(dasu, fcc, iqb_config)
+        text, payload = format_iqb_report(barometer), iqb_payload(barometer)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

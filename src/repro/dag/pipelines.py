@@ -26,7 +26,7 @@ Registered kinds:
     One view (``dasu``, ``fcc`` or ``survey``) of a world or a loaded
     dataset, fingerprinted by its content digest.
 ``report-fragment``
-    Render one report fragment from the slices it reads.
+    Render one report fragment (and any payload) from its slices.
 ``report-assemble``
     Fold every fragment into ``report.txt``.
 ``sweep-cell``
@@ -56,6 +56,7 @@ from ..datasets.io import (
     config_payload,
     load_dataset_dir,
     survey_csv_bytes,
+    survey_plan_count,
 )
 from ..datasets.world import World, WorldConfig
 from ..exceptions import DagError
@@ -102,6 +103,9 @@ class DatasetTriple:
 class WorldSlice:
     """One named view of a world (``dasu``, ``fcc``, or ``survey``) plus
     its content digest.
+
+    ``data`` is the user columns, or the survey's canonical CSV bytes
+    (``None`` without ``survey.csv``) for the fragments to decode.
 
     The digest — SHA-256 over the slice's canonical byte rendering, not
     over a pickle — is the slice stage's output fingerprint, so a
@@ -232,18 +236,41 @@ def _world_slice_kind(config: dict, inputs: dict, ctx) -> WorldSlice:
         ).hexdigest()
         return WorldSlice(name=name, data=columns, digest=digest)
     if name == "survey":
-        # A world carries its survey's canonical bytes. A dataset
-        # without ``survey.csv`` hashes the empty string, which no
-        # rendering does, since every one starts with a header.
+        # The survey's bytes, never decoded here; one already decoded is
+        # kept for the fragments. No ``survey.csv`` hashes the empty
+        # string, which no rendering does (each starts with a header).
         if isinstance(data, World):
-            blob = data.survey_csv
+            blob, survey = data.survey_csv, data.__dict__.get("survey")
         elif data.survey is None:
-            blob = b""
+            blob, survey = None, None
         else:
-            blob = survey_csv_bytes(data.survey)
-        digest = hashlib.sha256(blob).hexdigest()
-        return WorldSlice(name=name, data=data.survey, digest=digest)
+            blob, survey = survey_csv_bytes(data.survey), data.survey
+        digest = hashlib.sha256(blob or b"").hexdigest()
+        if survey is not None:
+            global _survey
+            _survey = (digest, survey)
+        return WorldSlice(name=name, data=blob, digest=digest)
     raise DagError(f"unknown world slice {name!r}")
+
+
+#: ``(digest, survey)`` this process last decoded or was handed: a
+#: run's fragments read one survey, and a resident service keeps it.
+_survey: tuple[str, Any] | None = None
+
+
+def _decoded_survey(slice_: WorldSlice) -> Any:
+    """The survey slice's survey, decoded at most once per process."""
+    global _survey
+    if slice_.data is None:
+        return None
+    known = _survey
+    if known is None or known[0] != slice_.digest:
+        from ..datasets import io
+
+        known = _survey = (
+            slice_.digest, io.decode_survey_csv(slice_.data, "survey.csv")
+        )
+    return known[1]
 
 
 def _world_slice_fingerprint(slice_: WorldSlice) -> str:
@@ -266,31 +293,25 @@ def _report_fragment_kind(config: dict, inputs: dict, ctx) -> dict:
                 f"the report-fragment kind takes world-slice inputs, got "
                 f"{type(value).__name__}"
             )
-        slices[value.name] = value.data
-    text, error = render_fragment(
-        key,
-        dasu=slices.get("dasu"),
-        fcc=slices.get("fcc"),
-        survey=slices.get("survey"),
-    )
-    # Text and error only — no timings, no wall-clock state — so an
+        slices[value.name] = (
+            _decoded_survey(value) if value.name == "survey" else value.data
+        )
+    # Rendered outputs only — no timings, no wall-clock state — so an
     # unchanged fragment pickles to unchanged bytes and downstream
     # assembly keys stay stable across runs.
-    return {"text": text, "error": error}
+    return render_fragment(key, **slices)
 
 
 def _report_assemble_kind(config: dict, inputs: dict, ctx) -> FileBundle:
     from ..analysis.paper_report import assemble_report
 
-    fragments: dict[str, tuple] = {}
+    fragments: dict[str, dict] = {}
     slices: dict[str, WorldSlice] = {}
     for dep_name, value in inputs.items():
         if isinstance(value, WorldSlice):
             slices[value.name] = value
         elif isinstance(value, dict) and dep_name.startswith("fragment/"):
-            fragments[dep_name.split("/", 1)[1]] = (
-                value.get("text"), value.get("error"),
-            )
+            fragments[dep_name.split("/", 1)[1]] = value
         else:
             raise DagError(
                 f"unexpected report-assemble input {dep_name!r}"
@@ -305,7 +326,7 @@ def _report_assemble_kind(config: dict, inputs: dict, ctx) -> FileBundle:
         fragments,
         n_dasu=slices["dasu"].data.n_users,
         n_fcc=slices["fcc"].data.n_users,
-        n_plans=None if survey is None else survey.n_plans,
+        n_plans=None if survey is None else survey_plan_count(survey),
     )
     return FileBundle(files={"report.txt": text + "\n"})
 

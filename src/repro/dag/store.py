@@ -35,8 +35,9 @@ from ..obs.ledger import RunLedger
 
 __all__ = ["DagStore", "StoredStage", "hash_artifact"]
 
-#: Bump when the on-disk entry layout changes (invalidates all entries).
-DAG_STORE_FORMAT = 1
+#: Bump when the on-disk entry layout or an artifact's shape changes
+#: (invalidates all entries). 2: report fragments carry their payload.
+DAG_STORE_FORMAT = 2
 
 _META_FILE = "meta.json"
 _ARTIFACT_FILE = "artifact.pkl"

@@ -55,6 +55,7 @@ __all__ = [
     "read_users_csv",
     "read_users_npy",
     "survey_csv_bytes",
+    "survey_plan_count",
     "write_config_json",
     "write_plans_csv",
     "write_survey_csv",
@@ -381,6 +382,11 @@ def write_survey_csv(survey: PlanSurvey | bytes, path: str | Path) -> int:
     """
     data = survey if isinstance(survey, bytes) else survey_csv_bytes(survey)
     Path(path).write_bytes(data)
+    return survey_plan_count(data)
+
+
+def survey_plan_count(data: bytes) -> int:
+    """Plan rows of :func:`survey_csv_bytes`: the lines under the header."""
     return data.count(b"\n") - 1
 
 

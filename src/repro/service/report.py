@@ -8,7 +8,9 @@ current tip configuration and runs the fragment-level report DAG
 :class:`~repro.dag.store.DagStore`, so only fragments whose input
 content digests changed re-execute — appending households recomputes the
 Dasu-driven fragments while survey-only ones reload, and the assembled
-``report.txt`` stays byte-identical to a cold full rebuild.
+``report.txt`` stays byte-identical to a cold full rebuild. ``/iqb.json``
+is the barometer fragment's payload, and a grid's sweep (``sweep_spec``)
+runs against the same store.
 
 Each refresh publishes an immutable :class:`Snapshot` swapped under a
 lock: HTTP handlers read whole snapshots, never partially updated state,
@@ -35,12 +37,14 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import dag
 from ..datasets.append import AppendDelta, DeltaLog, append_world
-from ..datasets.cache import WorldCache, cache_key, payload_key
+from ..datasets.cache import WorldCache, cache_key
 from ..datasets.world import WorldConfig
 from ..exceptions import ReproError
 from ..obs.ledger import RunLedger
 from ..obs.manifest import run_manifest
+from ..sweep import SWEEP_EXPERIMENTS, ScenarioGrid
 
 __all__ = ["ReportService", "Snapshot"]
 
@@ -63,10 +67,9 @@ class Snapshot:
     report_text: str
     manifest_text: str
     trace_text: str
-    #: The internet quality barometer payload for ``/iqb.json``,
-    #: recomputed from the tip world every refresh.
+    #: ``/iqb.json``: the payload of the ``fragment/iqb`` stage.
     iqb_json: str
-    #: ``None`` until a scenario grid is configured.
+    #: The ``sweep-report`` stage's files; ``None`` without a grid.
     sweep_json: str | None
     sweep_report: str | None
     #: Stage names the refresh executed / reloaded from the stage store.
@@ -81,7 +84,7 @@ class ReportService:
     request-shaped: all state lives in the world cache, the delta log,
     and the stage store, so killing the process loses nothing —
     a restarted service replays the log and reloads every unchanged
-    fragment from disk.
+    fragment and sweep cell from disk.
     """
 
     def __init__(
@@ -104,9 +107,6 @@ class ReportService:
         self.log = DeltaLog(base_config, cache=self.cache)
         self._lock = threading.Lock()
         self._snapshot: Snapshot | None = None
-        self._sweep_state: tuple[str, str] | None = None
-        self._sweep_json: str | None = None
-        self._sweep_report: str | None = None
         self.refreshes = 0
         self.appends = 0
         self.rejected = 0
@@ -145,40 +145,40 @@ class ReportService:
     # -- refreshing ------------------------------------------------------
 
     def refresh(self) -> Snapshot:
-        """Re-render the report for the current chain tip and publish it.
+        """Re-render every body for the current chain tip and publish.
 
-        Runs the fragment DAG against the persistent stage store:
-        unchanged fragments reload (they land in the snapshot's
-        ``cached``), changed ones execute. The swap at the end is the
-        only mutation readers can observe.
+        Runs the fragment DAG, and the sweep DAG when a grid is set,
+        against the persistent stage store: unchanged stages reload
+        (they land in the snapshot's ``cached``), changed ones execute.
+        The swap at the end is the only mutation readers can observe.
         """
-        from ..dag import DagStore, RunContext, report_spec, run_dag
-
         config = self.log.tip_config()
+        store = dag.DagStore(self.state_dir / "stages")
+        context = dag.RunContext(
+            jobs=self.jobs,
+            cache_root=str(self.cache.root),
+            use_cache=self.use_cache,
+        )
         ledger = RunLedger()
-        result = run_dag(
-            report_spec(config),
-            store=DagStore(self.state_dir / "stages"),
-            ledger=ledger,
-            context=RunContext(
-                jobs=self.jobs,
-                cache_root=str(self.cache.root),
-                use_cache=self.use_cache,
-            ),
+        result = dag.run_dag(
+            dag.report_spec(config), store=store, ledger=ledger, context=context
         )
         report_text = result.artifact("paper-report").files["report.txt"]
-        from ..analysis.iqb import iqb_payload
-
-        world = result.artifact("world")
-        iqb_json = (
-            json.dumps(
-                iqb_payload(world.dasu.columns, world.fcc.columns),
-                indent=2,
-                sort_keys=True,
+        iqb = result.artifact("fragment/iqb")["payload"]
+        iqb_json = json.dumps(iqb, indent=2, sort_keys=True) + "\n"
+        executed, cached = result.executed, result.cached
+        sweep_files: dict[str, str] = {}
+        if self.grid is not None:
+            # Cells fan out over ``jobs`` workers, as in ``run_sweep``.
+            sweep = dag.run_dag(
+                self._sweep_spec(self.grid, config),
+                backend=dag.ProcessPoolBackend(self.jobs),
+                store=store,
+                context=context,
             )
-            + "\n"
-        )
-        sweep_json, sweep_report = self._refresh_sweep(config)
+            sweep_files = sweep.artifact("sweep-report").files
+            executed += sweep.executed
+            cached += sweep.cached
         manifest = run_manifest(
             config,
             command="serve",
@@ -199,47 +199,21 @@ class ReportService:
             manifest_text=manifest_text,
             trace_text=ledger.to_jsonl(),
             iqb_json=iqb_json,
-            sweep_json=sweep_json,
-            sweep_report=sweep_report,
-            executed=tuple(result.executed),
-            cached=tuple(result.cached),
+            sweep_json=sweep_files.get("sweep.json"),
+            sweep_report=sweep_files.get("report.txt"),
+            executed=executed,
+            cached=cached,
         )
         with self._lock:
             self._snapshot = snapshot
             self.refreshes += 1
         return snapshot
 
-    def _refresh_sweep(self, config: WorldConfig) -> tuple[str | None, str | None]:
-        """Re-run the verdict sweep only when the grid or tip changed.
-
-        Sweep cells build through the shared world cache, so even a
-        re-run is warm — but skipping it entirely keeps appends that
-        only touch the report from paying for a sweep at all.
-        """
-        if self.grid is None:
-            self._sweep_state = None
-            self._sweep_json = None
-            self._sweep_report = None
-            return None, None
-        from ..sweep import run_sweep, sweep_files
-
-        state = (payload_key(self.grid.to_payload()), cache_key(config))
-        if state == self._sweep_state:
-            return self._sweep_json, self._sweep_report
-        seeds = self.grid.seeds if self.grid.seeds else (config.seed,)
-        result = run_sweep(
-            config,
-            self.grid,
-            seeds,
-            jobs=self.jobs,
-            cache_root=str(self.cache.root),
-            use_cache=self.use_cache,
-        )
-        files = sweep_files(result)
-        self._sweep_json = files["sweep.json"]
-        self._sweep_report = files["report.txt"]
-        self._sweep_state = state
-        return self._sweep_json, self._sweep_report
+    @staticmethod
+    def _sweep_spec(grid: ScenarioGrid, config: WorldConfig):
+        """Every sweep experiment, at the grid's seeds or the tip's."""
+        seeds = grid.seeds if grid.seeds else (config.seed,)
+        return dag.sweep_spec(config, grid, seeds, SWEEP_EXPERIMENTS)
 
     # -- ingest ----------------------------------------------------------
 
@@ -259,7 +233,8 @@ class ReportService:
     def process_spool(self, spool_dir: str | Path) -> int:
         """Consume every spool file once; returns how many applied.
 
-        ``*.grid.json`` replaces the scenario grid; every other
+        ``*.grid.json`` replaces the scenario grid once its cells expand
+        against the tip; every other
         ``*.json`` is an append-delta payload. Files are processed in
         sorted order so two appends spooled together apply
         deterministically. A file that fails to parse or apply is
@@ -276,10 +251,11 @@ class ReportService:
             try:
                 payload = json.loads(path.read_text())
                 if path.name.endswith(".grid.json"):
-                    from ..sweep import ScenarioGrid
-
-                    self.grid = ScenarioGrid.from_payload(payload)
-                    self._sweep_state = None
+                    grid = ScenarioGrid.from_payload(payload)
+                    # Expanding the cells checks every override value,
+                    # so a bad grid cannot fail every later refresh.
+                    self._sweep_spec(grid, self.log.tip_config())
+                    self.grid = grid
                 else:
                     self.append(AppendDelta.from_payload(payload))
             except (OSError, ValueError, TypeError, ReproError) as exc:

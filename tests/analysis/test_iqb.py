@@ -29,6 +29,7 @@ from repro.analysis.iqb import (
     IqbRequirement,
     IqbUseCase,
     format_iqb_report,
+    iqb_barometer,
     iqb_experiment,
     iqb_payload,
     market_barometer,
@@ -591,7 +592,9 @@ def iqb_world():
 
 
 def test_iqb_report_matches_golden(iqb_world, request):
-    text = format_iqb_report(iqb_world.dasu.columns, iqb_world.fcc.columns)
+    text = format_iqb_report(
+        iqb_barometer(iqb_world.dasu.columns, iqb_world.fcc.columns)
+    )
     if request.config.getoption("--regen-golden"):
         GOLDEN_DIR.mkdir(exist_ok=True)
         GOLDEN_IQB.write_text(text + "\n")
@@ -607,10 +610,14 @@ def test_iqb_report_matches_golden(iqb_world, request):
 
 
 def test_payload_is_deterministic_json(iqb_world):
-    a = iqb_payload(iqb_world.dasu.columns, iqb_world.fcc.columns)
+    a = iqb_payload(
+        iqb_barometer(iqb_world.dasu.columns, iqb_world.fcc.columns)
+    )
     b = iqb_payload(
-        from_records(list(to_records(iqb_world.dasu.columns))),
-        from_records(list(to_records(iqb_world.fcc.columns))),
+        iqb_barometer(
+            from_records(list(to_records(iqb_world.dasu.columns))),
+            from_records(list(to_records(iqb_world.fcc.columns))),
+        )
     )
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a) == {"config", "dasu", "fcc", "markets", "experiment"}
@@ -619,4 +626,4 @@ def test_payload_is_deterministic_json(iqb_world):
 
 def test_empty_dasu_rejected():
     with pytest.raises(AnalysisError, match="needs Dasu households"):
-        format_iqb_report(UserColumns.empty())
+        iqb_barometer(UserColumns.empty())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.iqb import format_iqb_report, iqb_payload
+from repro.analysis.iqb import format_iqb_report, iqb_barometer, iqb_payload
 from repro.analysis.registry import ANALYZE
 from repro.dag import (
     InProcessBackend,
@@ -96,8 +96,9 @@ def test_sweep_cell(cache_root, monkeypatch):
 
 
 def test_iqb_barometer(world):
-    text = format_iqb_report(world.dasu.columns, world.fcc.columns)
-    payload = iqb_payload(world.dasu.columns, world.fcc.columns)
+    barometer = iqb_barometer(world.dasu.columns, world.fcc.columns)
+    text = format_iqb_report(barometer)
+    payload = iqb_payload(barometer)
     assert "IQB vs demand" in text
     assert "n_pairs" in payload["experiment"]
 

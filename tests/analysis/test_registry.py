@@ -103,7 +103,7 @@ class TestTable:
 
     def test_untitled_table_without_rows_renders_empty(self):
         table = _table("t", lambda dasu: [], lambda rows: rows)
-        assert table.render([]) == ""
+        assert table.render([]) == {"text": ""}
 
     def test_sweep_runner_drops_rows_without_pairs(self):
         from repro.sweep import runners
@@ -128,7 +128,9 @@ class TestNeeds:
 
     def test_present_need_computes_over_inputs_in_order(self):
         assert self.EXPERIMENT.missing(dasu=[1], survey="s") is None
-        assert self.EXPERIMENT.render([1, 2], None, "s") == "2 users, survey s"
+        assert self.EXPERIMENT.render([1, 2], None, "s") == {
+            "text": "2 users, survey s"
+        }
 
     def test_empty_fcc_counts_as_absent(self, dasu_users):
         # An empty panel is a dataset with no users, not a falsy object:
@@ -138,6 +140,21 @@ class TestNeeds:
         assert fig3.missing(dasu=dasu_users, fcc=None) == "fcc"
         assert fig3.missing(dasu=dasu_users, fcc=dasu_users) is None
         assert fig3.render(dasu_users, UserColumns.empty(), None) is None
+
+
+class TestPayload:
+    def test_one_compute_feeds_the_block_and_the_payload(self):
+        computed = []
+        entry = Experiment(
+            "p", lambda dasu: computed.append(dasu) or len(dasu),
+            report=lambda n: f"{n} users", payload=lambda n: {"n": n},
+        )
+        assert entry.render([1, 2]) == {"text": "2 users", "payload": {"n": 2}}
+        assert computed == [[1, 2]]
+
+    def test_only_the_barometer_fragment_has_a_payload(self):
+        with_payload = [k for k, e in REPORT_BLOCKS.items() if e.payload]
+        assert with_payload == ["iqb"]
 
 
 class TestCheckExperiments:

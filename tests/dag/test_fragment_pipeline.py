@@ -106,9 +106,9 @@ def test_every_fragment_declares_known_inputs():
 
 
 def test_render_fragment_captures_analysis_error():
-    text, error = render_fragment("fig1", dasu=UserColumns.empty())
-    assert text is None
-    assert "figure 1" in error
+    fragment = render_fragment("fig1", dasu=UserColumns.empty())
+    assert fragment["text"] is None
+    assert "figure 1" in fragment["error"]
 
 
 def test_assemble_report_requires_every_fragment():

@@ -109,6 +109,33 @@ class TestReportSpec:
         if name == "no-survey":
             assert run.artifact("slice/survey").data is None
 
+    def test_warm_report_decodes_the_survey_once(self, tmp_path, monkeypatch):
+        """The survey slice is bytes; the three fragments that read the
+        survey share one decode, and the header counts plans from the
+        bytes."""
+        import repro.dag.pipelines as pipelines
+        import repro.datasets.io as io_module
+        from repro.datasets import WorldCache
+
+        context = RunContext(cache_root=str(tmp_path / "wc"))
+        run_dag(report_spec(REPORT_CONFIG), context=context)
+        decodes = []
+        real = io_module.decode_survey_csv
+
+        def counted(*args):
+            decodes.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(io_module, "decode_survey_csv", counted)
+        monkeypatch.setattr(pipelines, "_survey", None)  # a fresh process
+        run = run_dag(report_spec(REPORT_CONFIG), context=context)
+        assert len(decodes) == 1
+        survey = run.artifact("slice/survey").data
+        world = WorldCache(tmp_path / "wc").load(REPORT_CONFIG)
+        assert survey == world.survey_csv
+        text = run.artifact("paper-report").files["report.txt"]
+        assert f", {world.survey.n_plans} plans\n" in text
+
     def test_needs_exactly_one_source(self):
         with pytest.raises(DagError, match="exactly one"):
             report_spec()

@@ -242,7 +242,7 @@ def test_restart_replays_chain_and_reloads_fragments(daemon, tmp_path_factory):
 
 def test_iqb_matches_cold_payload(daemon, client):
     """/iqb.json is byte-identical to iqb_payload on the chain's tip."""
-    from repro.analysis.iqb import iqb_payload
+    from repro.analysis.iqb import iqb_barometer, iqb_payload
 
     _, service, cache, _ = daemon
     status, headers, body = client.get("/iqb.json")
@@ -251,7 +251,7 @@ def test_iqb_matches_cold_payload(daemon, client):
     world = cache.load(service.log.tip_config())
     expected = (
         json.dumps(
-            iqb_payload(world.dasu.columns, world.fcc.columns),
+            iqb_payload(iqb_barometer(world.dasu.columns, world.fcc.columns)),
             indent=2,
             sort_keys=True,
         )
